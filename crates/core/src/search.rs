@@ -36,7 +36,8 @@ pub struct Oracle {
     /// otherwise.
     rev: Arc<Vec<f64>>,
     /// Decrementally repaired exact distances on the *current* mutated
-    /// view (present when the problem enables repair). The intact table
+    /// view (present when the problem enables repair), or the intact
+    /// baseline once a removal orphans too much of it. The intact table
     /// `rev` stays the A\* ordering heuristic — same expansion order,
     /// same tie-breaks — while the repaired table prunes relaxations
     /// that provably cannot finish within the violating bound.
@@ -108,9 +109,15 @@ impl Oracle {
         // removals; syncing to views that keep those removals treats
         // them as non-tree no-ops, so the table stays exact. (A baseline
         // truncated by an already-expired deadline is fine too: every
-        // later search is cancelled by the same token.)
-        let repair = (problem.repair() && cch.is_none())
-            .then(|| RepairTable::new(problem.target(), rev.clone(), rev_parent, net.num_edges()));
+        // later search is cancelled by the same token.) A removal that
+        // orphans more than the table's threshold demotes it to that
+        // baseline instead of costing a full sweep: the oracle only
+        // prunes with the table, and the baseline still lower-bounds
+        // every attack view.
+        let repair = (problem.repair() && cch.is_none()).then(|| {
+            RepairTable::new(problem.target(), rev.clone(), rev_parent, net.num_edges())
+                .demote_on_overflow()
+        });
         scratch.astar.set_cancel(cancel.clone());
         Oracle {
             scratch,
@@ -184,9 +191,15 @@ impl Oracle {
                 "oracle.cch",
                 &[("outcome", obs::AttrValue::Str(outcome.into()))],
             );
-        } else if let Some(rep) = self.repair.as_mut() {
+        } else if let Some(rep) = self.repair.as_mut().filter(|r| !r.is_demoted()) {
             let out = rep.sync(view, |e| problem.weight_of(e));
-            if out.rebuilt {
+            if out.demoted {
+                obs::inc("pathattack.reuse.repair.demoted");
+                obs::trace::point(
+                    "oracle.repair",
+                    &[("outcome", obs::AttrValue::Str("demoted".into()))],
+                );
+            } else if out.rebuilt {
                 obs::inc("pathattack.reuse.repair.full_fallback");
                 obs::trace::point(
                     "oracle.repair",
@@ -207,9 +220,10 @@ impl Oracle {
             rev,
             ..
         } = self;
-        // Exact current-view distances used only to prune: hierarchy
-        // when attached, repaired table otherwise. Both are exact for
-        // the synced view, so the records cannot depend on the choice.
+        // Current-view distances used only to prune: hierarchy when
+        // attached, repaired table otherwise. Both are exact for the
+        // synced view, or a lower bound once the repair table demoted,
+        // so the records cannot depend on the choice.
         let prune: Option<&[f64]> = match (cch.as_ref(), repair.as_ref()) {
             (Some(table), _) => Some(table.dist()),
             (None, Some(rep)) => Some(rep.dist()),
@@ -255,8 +269,8 @@ impl Oracle {
         for i in 0..pstar.len() {
             let spur_node = pstar.nodes()[i];
             if let Some(dist) = prune {
-                // Exact distance on `view` lower-bounds any spur
-                // completion (the spur view only removes more edges), and
+                // The prune distance lower-bounds any spur completion
+                // (the spur view only removes more edges), and
                 // `best` is only ever replaced by a strictly cheaper
                 // path — so once the bound says this spur cannot beat
                 // `best`, the search's outcome is already decided and it

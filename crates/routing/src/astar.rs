@@ -1,11 +1,12 @@
 //! A* search with an admissible heuristic.
 //!
-//! Yen's algorithm (see [`crate::k_shortest_paths`]) runs thousands of
-//! "spur" searches on views with a few extra edges removed. Removing
-//! edges can only lengthen shortest paths, so exact distances-to-target
-//! computed once on the *unmodified* view remain admissible lower bounds
-//! — A* guided by them explores a small corridor instead of the whole
-//! city.
+//! Yen's algorithm (see [`crate::k_shortest_paths`]) runs its "spur"
+//! searches on views with a few extra edges removed — only the few
+//! spurs whose lower bound reaches the top of its heap, but each of
+//! them on a city-sized graph. Removing edges can only lengthen
+//! shortest paths, so exact distances-to-target computed once on the
+//! *unmodified* view remain admissible lower bounds — A* guided by them
+//! explores a small corridor instead of the whole city.
 
 use crate::cancel::{CancelToken, CHECK_STRIDE};
 use crate::heap::{HeapEntry, NO_EDGE};

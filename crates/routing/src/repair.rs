@@ -26,7 +26,9 @@
 //!    relaxes only within the orphan set.
 //! 3. If the orphan count exceeds the fallback threshold the dirty
 //!    region is no longer "small" and the table is rebuilt with a full
-//!    backward sweep instead.
+//!    backward sweep instead — or, for a table built with
+//!    [`RepairTable::demote_on_overflow`], *demotes*: it falls back to
+//!    the intact baseline for good.
 //!
 //! Restored edges (a shrinking removal set) are handled by resetting to
 //! the intact baseline — kept as shared [`Arc`]s, so the reset is a pair
@@ -42,6 +44,14 @@
 //! are bit-equal. The property test in `tests/repair_property.rs` pins
 //! this after every step of random removal sequences, including
 //! disconnection (`f64::INFINITY`) and forced fallbacks.
+//!
+//! A demoted table is no longer exact, but its baseline distances stay
+//! a lower bound on every later view (removals only lengthen paths).
+//! Callers that use the table only to prune a search, like the attack
+//! oracle, stay exact with it: they prune less. They stop paying for
+//! syncs, too: a cut at a bottleneck that every path to the target
+//! funnels through (a hospital on one access road) orphans most of the
+//! city, and each further cut there would cost one more full sweep.
 
 use crate::heap::{HeapEntry, NO_EDGE};
 use std::collections::BinaryHeap;
@@ -59,6 +69,9 @@ pub struct RepairOutcome {
     /// A removal's dirty region exceeded the fallback threshold and the
     /// table was rebuilt with a full backward sweep.
     pub rebuilt: bool,
+    /// A removal's dirty region exceeded the fallback threshold and the
+    /// table demoted (see [`RepairTable::demote_on_overflow`]).
+    pub demoted: bool,
     /// Nodes re-settled by the decremental repairs (excludes full
     /// rebuilds, which are accounted by `rebuilt`).
     pub resettled: u64,
@@ -82,6 +95,8 @@ pub struct RepairTable {
     removed: Vec<bool>,
     removed_list: Vec<EdgeId>,
     fallback_threshold: usize,
+    demote_on_overflow: bool,
+    demoted: bool,
     // scratch (kept across syncs to stay allocation-free in the loop)
     pending: Vec<EdgeId>,
     orphans: Vec<u32>,
@@ -134,6 +149,8 @@ impl RepairTable {
             removed: vec![false; num_edges],
             removed_list: Vec::new(),
             fallback_threshold: (n / 2).max(64),
+            demote_on_overflow: false,
+            demoted: false,
             pending: Vec::new(),
             orphans: Vec::new(),
             stack: Vec::new(),
@@ -151,12 +168,28 @@ impl RepairTable {
         self
     }
 
+    /// Makes a removal past the fallback threshold demote the table
+    /// instead of rebuilding it: the table then holds the intact
+    /// baseline, a lower bound on distances in every view whose
+    /// removals include the baseline view's, and later syncs do nothing.
+    /// For callers that only prune with the table.
+    pub fn demote_on_overflow(mut self) -> Self {
+        self.demote_on_overflow = true;
+        self
+    }
+
+    /// Whether the table has demoted to the intact baseline.
+    pub fn is_demoted(&self) -> bool {
+        self.demoted
+    }
+
     /// The target node this table measures distances to.
     pub fn target(&self) -> NodeId {
         self.target
     }
 
-    /// The current distance table (valid for the last synced view).
+    /// The current distance table: exact for the last synced view, or
+    /// the intact baseline once demoted.
     pub fn dist(&self) -> &[f64] {
         &self.dist
     }
@@ -178,12 +211,15 @@ impl RepairTable {
     /// Brings the table in sync with `view`'s removal set and returns
     /// what that took. `weight` must match the baseline sweep's weight
     /// function. No-op (and cheap: `O(removals)`) when the set is
-    /// unchanged.
+    /// unchanged, and on a demoted table.
     pub fn sync<F>(&mut self, view: &GraphView<'_>, weight: F) -> RepairOutcome
     where
         F: Fn(EdgeId) -> f64,
     {
         let mut out = RepairOutcome::default();
+        if self.demoted {
+            return out;
+        }
         let dropped = self.removed_list.iter().any(|&e| !view.is_removed(e));
         if !dropped && view.removed_count() == self.removed_list.len() {
             // Same size and ours ⊆ view's — identical sets.
@@ -215,6 +251,9 @@ impl RepairTable {
             self.removed[e.index()] = true;
             self.removed_list.push(e);
             self.apply_removal(view, &weight, e, &mut out);
+            if self.demoted {
+                break;
+            }
         }
         self.pending = pending;
 
@@ -271,6 +310,9 @@ impl RepairTable {
         self.mark[src] = gen;
         while let Some(x) = self.stack.pop() {
             self.orphans.push(x);
+            if self.orphans.len() > self.fallback_threshold {
+                break; // the full list is not needed past the threshold
+            }
             for f in net.in_edges(NodeId::new(x as usize)) {
                 let y = net.edge_source(f).index();
                 if self.parent[y] == f.index() as u32 && self.mark[y] != gen {
@@ -281,8 +323,15 @@ impl RepairTable {
         }
 
         if self.orphans.len() > self.fallback_threshold {
-            self.full_rebuild(view, weight);
-            out.rebuilt = true;
+            if self.demote_on_overflow {
+                self.dist.copy_from_slice(&self.base_dist);
+                self.parent.copy_from_slice(&self.base_parent);
+                self.demoted = true;
+                out.demoted = true;
+            } else {
+                self.full_rebuild(view, weight);
+                out.rebuilt = true;
+            }
             return;
         }
 
@@ -510,6 +559,33 @@ mod tests {
         let out = table.sync(&view, weight);
         assert!(out.rebuilt && out.resettled == 0);
         assert_matches_fresh(&net, &view, &table);
+    }
+
+    #[test]
+    fn overflow_demotes_to_the_baseline_lower_bound() {
+        let net = grid4();
+        let mut view = GraphView::new(&net);
+        let weight = |e: EdgeId| net.edge_attrs(e).travel_time_s();
+        let baseline = table_for(&net, NodeId::new(15));
+        let mut table = table_for(&net, NodeId::new(15))
+            .with_fallback_threshold(0)
+            .demote_on_overflow();
+        view.remove_edge(EdgeId::new(table.parent[0] as usize));
+        let out = table.sync(&view, weight);
+        assert!(out.demoted && !out.rebuilt && table.is_demoted());
+        assert_eq!(table.dist(), baseline.dist());
+
+        // Later syncs do nothing (here: node 0 loses its other out-edge
+        // too), and the baseline stays a lower bound.
+        let outs: Vec<EdgeId> = net.out_edges(NodeId::new(0)).collect();
+        for e in outs {
+            view.remove_edge(e);
+        }
+        assert_eq!(table.sync(&view, weight), RepairOutcome::default());
+        let mut dij = Dijkstra::new(net.num_nodes());
+        let exact = dij.distances(&view, weight, NodeId::new(15), Direction::Backward);
+        assert!(table.dist().iter().zip(&exact).all(|(a, b)| a <= b));
+        assert!(exact[0].is_infinite() && table.distance(NodeId::new(0)).is_finite());
     }
 
     #[test]

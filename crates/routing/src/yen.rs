@@ -6,7 +6,7 @@
 //! 100th/200th shortest paths. Both need an efficient k-shortest-simple-
 //! paths enumerator on city-scale graphs.
 //!
-//! Two implementation notes that matter at this scale:
+//! Three implementation notes that matter at this scale:
 //!
 //! - **Lawler's optimization**: spur paths are only computed from the
 //!   deviation index of the parent path onward, avoiding re-deriving
@@ -16,44 +16,268 @@
 //!   so exact distances-to-target on the *caller's* view (computed once
 //!   by a backward Dijkstra) stay admissible, and each spur search
 //!   explores a thin corridor instead of the whole city.
+//! - **Lazy spur evaluation**: a rank-100 query on a city makes a few
+//!   thousand spurs, but only the few whose candidates reach the top of
+//!   the B-heap matter. Each spur first enters the heap under a cheap
+//!   lower bound — the root-prefix weight plus the cheapest allowed
+//!   first spur edge `(u, v)` plus the reverse distance `rev[v]` — and
+//!   its A\* search runs only when that bound reaches the top. The same
+//!   reverse distances make the bound valid: removing edges only makes
+//!   distances longer. The accepted paths are exactly the eager
+//!   algorithm's (same edges, same total-weight bits, same order); the
+//!   rules that keep them so are listed at the heap entry's `Ord`.
+//!   Before a spur's search runs, a short backward scan from the target
+//!   checks that the spur has a path at all (`TargetScan`): a search
+//!   that has none would settle the whole city before giving up.
 
 use crate::{acquire_scratch, CancelToken, Direction, Path};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 use traffic_graph::{EdgeId, GraphView, NodeId};
 
-/// Candidate entry in Yen's B-heap, ordered cheapest-first.
+/// Relative amount by which each spur lower bound is shaded down.
+///
+/// A bound sums weights backward through the reverse-distance table,
+/// a candidate's total sums them forward through the A\* search, and
+/// two copies of one path split the same sum at different spur nodes.
+/// These float sums differ by a few ulps per edge, far below this
+/// margin, so a shaded bound never exceeds any total of the candidate
+/// it stands for.
+const BOUND_SHADE: f64 = 1e-9;
+
+/// Generation sequence of the first path and of every accepted path:
+/// below every spur's, so no later copy can displace an accepted path.
+const ACCEPTED: u64 = 0;
+
+/// Entry of Yen's B-heap: a spur not yet searched, keyed by a lower
+/// bound, or a candidate path, keyed by its exact total.
 #[derive(Debug)]
-struct Candidate {
-    path: Path,
-    /// Index at which this candidate deviates from its parent (Lawler).
-    deviation: usize,
+struct Entry {
+    key: f64,
+    /// Generation sequence: the order in which eager Yen runs this spur
+    /// search (by accepted path, then by spur index).
+    seq: u64,
+    spur: Spur,
 }
 
-impl PartialEq for Candidate {
+#[derive(Debug)]
+enum Spur {
+    /// Spur search not run yet.
+    Pending {
+        /// Index of the accepted path the spur deviates from.
+        parent: usize,
+        /// Spur index: the spur leaves `parent` at its `index`-th node.
+        index: usize,
+        /// Weight of `parent`'s first `index` edges.
+        prefix_weight: f64,
+        /// Blocked edges, recorded when the entry was made: a range of
+        /// the enumeration's blocked-edge arena.
+        blocked: Range<usize>,
+    },
+    /// Searched candidate.
+    Found {
+        path: Path,
+        /// Index at which this candidate deviates from its parent (Lawler).
+        deviation: usize,
+    },
+}
+
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for Candidate {}
+impl Eq for Entry {}
 
-impl PartialOrd for Candidate {
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Candidate {
+/// Reversed for a min-heap. Lazy Yen accepts exactly what eager Yen
+/// accepts because of these rules:
+///
+/// 1. A candidate is accepted only when it is at the top of the heap,
+///    so every pending spur left has a bound above its total, and the
+///    spur's own candidate can only be heavier still.
+/// 2. At equal keys a pending spur pops before a found candidate: its
+///    candidate may tie and then win on edge count or edge ids.
+/// 3. Each bound is shaded down by [`BOUND_SHADE`], so it never exceeds
+///    the A\* total of its candidate, nor the total of a duplicate copy
+///    of that path summed at another spur node.
+/// 4. A pending spur records its blocked edges when it is made, not when
+///    it is searched, with its parent and spur index: its A\* search
+///    then runs on the same view as eager Yen's and finds the same path.
+/// 5. Duplicates resolve by generation sequence: the copy made first
+///    wins, as in eager Yen, keeping its `deviation` and total. A later
+///    copy searched earlier is left in the heap as a stale entry and
+///    skipped when popped. By rule 3 the earlier copy's bound pops
+///    before the later copy can be accepted.
+/// 6. Edges into root-path nodes are excluded from the bound's minimum
+///    (those nodes are dead ends in the spur search). A spur whose
+///    minimum is infinite gets no entry: its search would find nothing.
+///
+/// Found candidates tie-break by edge count, then edge ids, as in eager
+/// Yen, so results are deterministic.
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed for min-heap; ties broken by edge count then edge ids
-        // so results are deterministic.
         other
-            .path
-            .total_weight()
-            .total_cmp(&self.path.total_weight())
-            .then_with(|| other.path.len().cmp(&self.path.len()))
-            .then_with(|| other.path.edges().cmp(self.path.edges()))
+            .key
+            .total_cmp(&self.key)
+            .then_with(|| match (&self.spur, &other.spur) {
+                (Spur::Pending { .. }, Spur::Found { .. }) => Ordering::Greater,
+                (Spur::Found { .. }, Spur::Pending { .. }) => Ordering::Less,
+                (Spur::Pending { .. }, Spur::Pending { .. }) => Ordering::Equal,
+                (Spur::Found { path: a, .. }, Spur::Found { path: b, .. }) => {
+                    b.len().cmp(&a.len()).then_with(|| b.edges().cmp(a.edges()))
+                }
+            })
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// Nodes a [`TargetScan`] may reach before it gives up.
+const SCAN_LIMIT: usize = 256;
+
+/// Backward scan from the target that finds spurs with no path at all.
+///
+/// A spur search that cannot reach the target settles every node it can
+/// reach before it gives up: on a city, nearly the whole city. That
+/// happens when a target is reached through a dead end (a hospital on a
+/// single access road) and the spur's blocked edges close it off. The
+/// nodes that still reach the target are then few, so a short backward
+/// scan from the target runs out of them and proves the search would
+/// return `None`. A scan that meets the spur node, or more than
+/// [`SCAN_LIMIT`] nodes, proves nothing and leaves the spur to A\*.
+#[derive(Default)]
+struct TargetScan {
+    seen: HashSet<NodeId>,
+    stack: Vec<NodeId>,
+}
+
+impl TargetScan {
+    /// True when the scan proves that no path leads from `from` to
+    /// `target` in `view`; false when one does or the scan gave up.
+    fn cut_off(&mut self, view: &GraphView<'_>, from: NodeId, target: NodeId) -> bool {
+        if from == target {
+            return false;
+        }
+        self.seen.clear();
+        self.stack.clear();
+        self.seen.insert(target);
+        self.stack.push(target);
+        while let Some(x) = self.stack.pop() {
+            for (_, w) in view.in_neighbors(x) {
+                if w == from {
+                    return false;
+                }
+                if self.seen.insert(w) {
+                    if self.seen.len() > SCAN_LIMIT {
+                        return false;
+                    }
+                    self.stack.push(w);
+                }
+            }
+        }
+        true
+    }
+}
+
+/// State of one enumeration: the accepted paths and Yen's B-heap.
+struct Enumeration {
+    /// Accepted paths with their deviation index, cheapest first.
+    accepted: Vec<(Path, usize)>,
+    heap: BinaryHeap<Entry>,
+    /// Arena of the edges every pending spur blocks.
+    blocked: Vec<EdgeId>,
+    /// Edge list of every path produced so far, mapped to the sequence
+    /// of the copy that counts ([`ACCEPTED`] once accepted).
+    seen: HashMap<Vec<EdgeId>, u64>,
+    next_seq: u64,
+}
+
+impl Enumeration {
+    fn new(first: Path) -> Self {
+        let mut seen = HashMap::new();
+        seen.insert(first.edges().to_vec(), ACCEPTED);
+        Enumeration {
+            accepted: vec![(first, 0)],
+            heap: BinaryHeap::new(),
+            blocked: Vec::new(),
+            seen,
+            next_seq: ACCEPTED + 1,
+        }
+    }
+
+    /// Pushes one pending entry per spur of the last accepted path, from
+    /// its deviation index on (Lawler), each under its lower bound.
+    fn push_spurs<F>(&mut self, view: &GraphView<'_>, weight: &F, rev: &[f64])
+    where
+        F: Fn(EdgeId) -> f64,
+    {
+        let parent = self.accepted.len() - 1;
+        let (prev, dev_start) = &self.accepted[parent];
+
+        // Longest common prefix (in edges) of each accepted path with
+        // `prev`, so the per-spur prefix test is O(1).
+        let lcp: Vec<usize> = self
+            .accepted
+            .iter()
+            .map(|(p, _)| {
+                p.edges()
+                    .iter()
+                    .zip(prev.edges())
+                    .take_while(|(a, b)| a == b)
+                    .count()
+            })
+            .collect();
+
+        // Root-path nodes of the spur being bounded.
+        let mut roots: HashSet<NodeId> = prev.nodes()[..*dev_start].iter().copied().collect();
+        let mut prefix_weight = 0.0;
+        for (i, &e) in prev.edges().iter().enumerate() {
+            if i >= *dev_start {
+                let spur_node = prev.nodes()[i];
+                // Block the next edge of every accepted path sharing the
+                // first `i` edges with prev.
+                let start = self.blocked.len();
+                for ((p, _), &l) in self.accepted.iter().zip(&lcp) {
+                    if l >= i && p.len() > i {
+                        let b = p.edges()[i];
+                        if !view.is_removed(b) && !self.blocked[start..].contains(&b) {
+                            self.blocked.push(b);
+                        }
+                    }
+                }
+                let blocked = &self.blocked[start..];
+                let cheapest = view
+                    .out_neighbors(spur_node)
+                    .filter(|&(e, v)| !blocked.contains(&e) && !roots.contains(&v))
+                    .map(|(e, v)| weight(e) + rev[v.index()])
+                    .fold(f64::INFINITY, f64::min);
+                if cheapest.is_finite() {
+                    let bound = prefix_weight + cheapest;
+                    self.heap.push(Entry {
+                        key: bound - bound.abs() * BOUND_SHADE,
+                        seq: self.next_seq,
+                        spur: Spur::Pending {
+                            parent,
+                            index: i,
+                            prefix_weight,
+                            blocked: start..self.blocked.len(),
+                        },
+                    });
+                    self.next_seq += 1;
+                } else {
+                    self.blocked.truncate(start);
+                }
+                roots.insert(spur_node);
+            }
+            prefix_weight += weight(e);
+        }
     }
 }
 
@@ -124,7 +348,7 @@ pub struct YenConfig {
     /// — the main cross-run reuse win for repeated enumerations toward
     /// one target.
     pub shared_reverse: Option<Arc<Vec<f64>>>,
-    /// Cooperative cancellation: checked between spur searches and
+    /// Cooperative cancellation: checked before every spur search and
     /// propagated into the inner Dijkstra/A* loops. A cancelled
     /// enumeration returns the paths accepted so far (possibly fewer
     /// than `k`); callers sharing the token must check it rather than
@@ -175,6 +399,7 @@ where
 
     // Flushed once at the end of the enumeration.
     let mut spur_searches: u64 = 0;
+    let mut dead_end_spurs: u64 = 0;
     let mut candidates_generated: u64 = 0;
     let mut duplicate_candidates: u64 = 0;
 
@@ -199,116 +424,137 @@ where
     // Working view: caller's removals plus temporary spur removals.
     let mut work = view.clone();
 
-    let mut accepted: Vec<(Path, usize)> = vec![(first, 0)];
-    let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
-    let mut seen: HashSet<Vec<EdgeId>> = HashSet::new();
-    seen.insert(accepted[0].0.edges().to_vec());
+    let mut scan = TargetScan::default();
+    let mut yen = Enumeration::new(first);
+    if k > 1 {
+        yen.push_spurs(view, &weight, rev);
+    }
 
-    while accepted.len() < k {
+    while yen.accepted.len() < k {
         if let Some(token) = &config.cancel {
             if token.is_cancelled() {
                 break;
             }
         }
-        let (prev, dev_start) = {
-            let last = accepted.last().expect("accepted non-empty");
-            (last.0.clone(), last.1)
+        let Some(entry) = yen.heap.pop() else {
+            break;
         };
+        match entry.spur {
+            Spur::Pending {
+                parent,
+                index,
+                prefix_weight,
+                blocked,
+            } => {
+                let prev = &yen.accepted[parent].0;
 
-        // Longest common prefix (in edges) of each accepted path with
-        // `prev`, so the per-spur prefix test is O(1).
-        let lcp: Vec<usize> = accepted
-            .iter()
-            .map(|(p, _)| {
-                p.edges()
-                    .iter()
-                    .zip(prev.edges())
-                    .take_while(|(a, b)| a == b)
-                    .count()
-            })
-            .collect();
-
-        // Cumulative prefix weights of `prev`.
-        let mut prefix_w = Vec::with_capacity(prev.len() + 1);
-        prefix_w.push(0.0);
-        for &e in prev.edges() {
-            prefix_w.push(prefix_w.last().unwrap() + weight(e));
-        }
-
-        #[allow(clippy::needless_range_loop)] // i indexes nodes, edges and prefix weights together
-        for i in dev_start..prev.len() {
-            let spur_node = prev.nodes()[i];
-
-            // Pooled buffer instead of a per-spur allocation: taken out
-            // of the scratch for the duration of the spur and put back
-            // (cleared) below.
-            let mut removed = std::mem::take(&mut scratch.spur_removed);
-            removed.clear();
-            // Block the next edge of every accepted path sharing the
-            // first `i` edges with prev.
-            for ((p, _), &l) in accepted.iter().zip(&lcp) {
-                if l >= i && p.len() > i {
-                    let e = p.edges()[i];
+                // Pooled buffer instead of a per-spur allocation: taken
+                // out of the scratch for the duration of the spur and
+                // put back (cleared) below.
+                let mut removed = std::mem::take(&mut scratch.spur_removed);
+                removed.clear();
+                for &e in &yen.blocked[blocked] {
                     if work.remove_edge(e) {
                         removed.push(e);
                     }
                 }
-            }
-            // Remove the root-path nodes (all their out-edges) so spur
-            // paths cannot re-enter the prefix and stay simple.
-            for &v in &prev.nodes()[..i] {
-                for e in net.out_edges(v) {
-                    if work.remove_edge(e) {
-                        removed.push(e);
+                // Remove the root-path nodes (all their out-edges) so
+                // spur paths cannot re-enter the prefix and stay simple.
+                for &v in &prev.nodes()[..index] {
+                    for e in net.out_edges(v) {
+                        if work.remove_edge(e) {
+                            removed.push(e);
+                        }
                     }
                 }
-            }
 
-            spur_searches += 1;
-            if let Some(spur) =
-                scratch
-                    .astar
-                    .shortest_path(&work, &weight, |v| rev[v.index()], spur_node, target)
-            {
-                let mut edges = prev.edges()[..i].to_vec();
+                let spur_node = prev.nodes()[index];
+                let spur = if scan.cut_off(&work, spur_node, target) {
+                    dead_end_spurs += 1;
+                    None
+                } else {
+                    spur_searches += 1;
+                    scratch.astar.shortest_path(
+                        &work,
+                        &weight,
+                        |v| rev[v.index()],
+                        spur_node,
+                        target,
+                    )
+                };
+
+                for &e in &removed {
+                    work.restore_edge(e);
+                }
+                scratch.spur_removed = removed;
+
+                let Some(spur) = spur else {
+                    continue;
+                };
+                let mut edges = prev.edges()[..index].to_vec();
                 edges.extend_from_slice(spur.edges());
                 // Membership test on the borrowed slice first: cloning
                 // the edge list for an already-seen candidate would be
                 // pure allocator churn on the hottest Yen branch.
-                if seen.contains(edges.as_slice()) {
-                    duplicate_candidates += 1;
-                } else {
-                    seen.insert(edges.clone());
-                    candidates_generated += 1;
-                    let mut nodes = prev.nodes()[..=i].to_vec();
-                    nodes.extend_from_slice(&spur.nodes()[1..]);
-                    let total = prefix_w[i] + spur.total_weight();
-                    heap.push(Candidate {
+                match yen.seen.get_mut(edges.as_slice()) {
+                    Some(first) if *first < entry.seq => {
+                        duplicate_candidates += 1;
+                        continue;
+                    }
+                    Some(first) => {
+                        // This copy was made before the one already
+                        // found, which is now stale (rule 5).
+                        duplicate_candidates += 1;
+                        *first = entry.seq;
+                    }
+                    None => {
+                        yen.seen.insert(edges.clone(), entry.seq);
+                        candidates_generated += 1;
+                    }
+                }
+                let mut nodes = prev.nodes()[..=index].to_vec();
+                nodes.extend_from_slice(&spur.nodes()[1..]);
+                let total = prefix_weight + spur.total_weight();
+                yen.heap.push(Entry {
+                    key: total,
+                    seq: entry.seq,
+                    spur: Spur::Found {
                         path: Path::from_parts(nodes, edges, total),
-                        deviation: i,
-                    });
+                        deviation: index,
+                    },
+                });
+            }
+            Spur::Found { path, deviation } => {
+                let winner = yen
+                    .seen
+                    .get_mut(path.edges())
+                    .expect("every found candidate is recorded as seen");
+                if *winner != entry.seq {
+                    continue; // stale copy (rule 5)
+                }
+                *winner = ACCEPTED;
+                yen.accepted.push((path, deviation));
+                if yen.accepted.len() < k {
+                    yen.push_spurs(view, &weight, rev);
                 }
             }
-
-            for &e in &removed {
-                work.restore_edge(e);
-            }
-            scratch.spur_removed = removed;
-        }
-
-        match heap.pop() {
-            Some(c) => accepted.push((c.path, c.deviation)),
-            None => break,
         }
     }
 
+    let spur_skips = yen
+        .heap
+        .iter()
+        .filter(|e| matches!(e.spur, Spur::Pending { .. }))
+        .count();
     obs::add("routing.yen.queries", 1);
     obs::add("routing.yen.spur_searches", spur_searches);
+    obs::add("routing.yen.spur_skips", spur_skips as u64);
+    obs::add("routing.yen.dead_end_spurs", dead_end_spurs);
     obs::add("routing.yen.duplicate_candidates", duplicate_candidates);
     obs::record_value("routing.yen.candidates_per_query", candidates_generated);
-    obs::record_value("routing.yen.paths_per_query", accepted.len() as u64);
+    obs::record_value("routing.yen.paths_per_query", yen.accepted.len() as u64);
 
-    accepted.into_iter().map(|(p, _)| p).collect()
+    yen.accepted.into_iter().map(|(p, _)| p).collect()
 }
 
 /// Convenience wrapper returning only the `rank`-th shortest path
@@ -586,7 +832,8 @@ mod tests {
         };
         // The initial Dijkstra on this tiny graph completes before the
         // first stride check, so the shortest path is accepted; the
-        // outer loop then sees the cancelled token and stops.
+        // enumeration then sees the cancelled token before its first
+        // spur search and stops.
         let paths = k_shortest_paths_with(&view, len(&net), nodes[0], nodes[5], 8, &config);
         assert!(paths.len() <= 1);
     }

@@ -171,6 +171,9 @@ fn metrics_table_covers_routing_pathattack_and_harness() {
         // routing
         "routing.dijkstra.pops",
         "routing.yen.candidates_per_query",
+        "routing.yen.spur_searches",
+        "routing.yen.spur_skips",
+        "routing.yen.dead_end_spurs",
         "routing.yen.shortest_path",
         // pathattack (attack algorithms + oracle)
         "pathattack.oracle.calls",
