@@ -3,13 +3,12 @@
 //!
 //! ```text
 //! perf_ch [--preset NAME] [--scale S] [--seed N] [--queries N]
-//!         [--recustomize-samples N] [--rank K] [--sources N]
-//!         [--out FILE] [--min-query-speedup X]
-//!         [--min-recustomize-speedup X] [--max-attack-ms X]
+//!         [--recustomize-samples N] [--out FILE]
+//!         [--min-query-speedup X] [--min-recustomize-speedup X]
 //!         [--max-gen-ratio X]
 //! ```
 //!
-//! Five sections, each with its own acceptance gate:
+//! Four sections, each gated but the second:
 //!
 //! 1. **Generation linearity** — builds the preset at a reference scale
 //!    and at the target scale and compares per-node generation rates;
@@ -25,33 +24,16 @@
 //!    single edge removal vs a full customization from scratch (and,
 //!    for context, vs a full topology rebuild); medians must differ by
 //!    `--min-recustomize-speedup`.
-//! 5. **Attack sweep** — `GreedyPathCover` end to end on the large
-//!    city, hierarchy-backed oracles vs the decremental-repair
-//!    baseline; outcomes must be byte-identical and the hierarchy
-//!    median must stay under `--max-attack-ms`.
 //!
 //! CI runs a relaxed smoke configuration on a small city; the committed
 //! `BENCH_ch.json` comes from the full defaults (`--preset la --scale
 //! mega`, a million-node-plus network).
 
 use citygen::{CityPreset, Scale};
-use pathattack::{AttackAlgorithm, CostType};
-use pathattack::{
-    AttackProblem, AttackStatus, GreedyPathCover, NetworkHierarchy, TargetContext, WeightType,
-};
-use routing::{CchSearch, Dijkstra, Direction};
-use std::sync::Arc;
+use pathattack::WeightType;
+use routing::{Cch, CchSearch, Dijkstra, Direction};
 use std::time::Instant;
-use traffic_graph::{EdgeId, GraphView, NodeId, PoiKind};
-
-/// Everything record-relevant about one attack run (runtime excluded).
-#[derive(PartialEq, Debug)]
-struct OutcomeKey {
-    removed: Vec<EdgeId>,
-    cost_bits: u64,
-    iterations: usize,
-    status: AttackStatus,
-}
+use traffic_graph::{EdgeId, FrozenGraph, GraphView, NodeId};
 
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(f64::total_cmp);
@@ -93,12 +75,9 @@ fn main() {
     let mut seed = 42u64;
     let mut queries = 20usize;
     let mut recustomize_samples = 9usize;
-    let mut rank = 5usize;
-    let mut sources = 2usize;
     let mut out_path = "BENCH_ch.json".to_string();
     let mut min_query_speedup = 10.0f64;
     let mut min_recustomize_speedup = 10.0f64;
-    let mut max_attack_ms = 2000.0f64;
     let mut max_gen_ratio = 3.0f64;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -117,13 +96,10 @@ fn main() {
             "--seed" => seed = num("--seed") as u64,
             "--queries" => queries = num("--queries") as usize,
             "--recustomize-samples" => recustomize_samples = num("--recustomize-samples") as usize,
-            "--rank" => rank = num("--rank") as usize,
-            "--sources" => sources = num("--sources") as usize,
             "--min-query-speedup" => min_query_speedup = num("--min-query-speedup"),
             "--min-recustomize-speedup" => {
                 min_recustomize_speedup = num("--min-recustomize-speedup")
             }
-            "--max-attack-ms" => max_attack_ms = num("--max-attack-ms"),
             "--max-gen-ratio" => max_gen_ratio = num("--max-gen-ratio"),
             "--out" => out_path = next("--out"),
             other => panic!("unknown argument {other:?}"),
@@ -154,28 +130,24 @@ fn main() {
          ({gen_rate_us:.2} us/node)  ratio {gen_ratio:.2}"
     );
 
-    // The shared target context supplies the weight vector every later
-    // section keys on — exactly the Arc the attack problems share, so
-    // the hierarchy's metric cache behaves as it does resident in
-    // `serve`: one customization per (city, weight model).
-    let hospital = net
-        .pois_of_kind(PoiKind::Hospital)
-        .next()
-        .expect("preset has a hospital")
-        .node;
-    let (ctx_ms, ctx) = timed(|| Arc::new(TargetContext::build(&net, WeightType::Time, hospital)));
-    let weights = ctx.weights().clone();
+    let weights = WeightType::Time.compute(&net);
 
     // 2. Contraction: freeze + order + chordal topology, then the first
     // customization of the travel-time metric.
-    let (contract_ms, hierarchy) = timed(|| Arc::new(NetworkHierarchy::build(&net)));
-    let (customize_ms, metric) = timed(|| hierarchy.metric_for(&weights));
+    let (contract_ms, (frozen, cch)) = timed(|| {
+        let frozen = FrozenGraph::freeze(&net);
+        let cch = Cch::build(&frozen);
+        (frozen, cch)
+    });
+    let (customize_ms, metric) = timed(|| cch.customize(|e| weights[e.index()]));
+    let bytes_resident = frozen.bytes_resident() + cch.bytes_resident() + metric.bytes_resident();
+    drop(frozen);
     println!(
         "contraction {:.0} ms  ({} nodes, {} arcs, {:.1} MiB resident)  customize {:.0} ms",
         contract_ms,
-        hierarchy.num_nodes(),
-        hierarchy.num_arcs(),
-        hierarchy.bytes_resident() as f64 / (1024.0 * 1024.0),
+        cch.num_nodes(),
+        cch.num_arcs(),
+        bytes_resident as f64 / (1024.0 * 1024.0),
         customize_ms,
     );
 
@@ -195,7 +167,7 @@ fn main() {
             continue;
         }
         let tq = Instant::now();
-        let got = search.query(hierarchy.cch(), &metric, s, t);
+        let got = search.query(&cch, &metric, s, t);
         let cch_t = tq.elapsed().as_secs_f64() * 1e6;
         let tq = Instant::now();
         dij.sweep(&view, weight, s, Some(t), Direction::Forward);
@@ -225,17 +197,17 @@ fn main() {
     // 4. Re-customization after a single removal vs full customization
     // (and, for context, a full topology rebuild).
     let num_edges = net.num_edges();
-    let mut work = (*metric).clone();
+    let mut work = metric.clone();
     let mut recustomize_ms_samples = Vec::with_capacity(recustomize_samples);
     for _ in 0..recustomize_samples {
         let e = EdgeId::new((lcg(&mut rng) % num_edges as u64) as usize);
         let masked = |q: EdgeId| if q == e { f64::INFINITY } else { weight(q) };
         work.copy_from(&metric);
-        let (t, _) = timed(|| hierarchy.cch().recustomize(&mut work, masked, [e]));
+        let (t, _) = timed(|| cch.recustomize(&mut work, masked, [e]));
         recustomize_ms_samples.push(t);
     }
     let recustomize_ms = median(&mut recustomize_ms_samples);
-    let (full_customize_ms, _) = timed(|| hierarchy.cch().customize(weight));
+    let (full_customize_ms, _) = timed(|| cch.customize(weight));
     let full_rebuild_ms = contract_ms + customize_ms;
     let recustomize_speedup = full_customize_ms / recustomize_ms.max(1e-6);
     println!(
@@ -243,68 +215,9 @@ fn main() {
          {full_customize_ms:.0} ms ({recustomize_speedup:.0}x)  full rebuild {full_rebuild_ms:.0} ms"
     );
 
-    // 5. End-to-end attack sweep: hierarchy-backed oracles vs the
-    // decremental-repair baseline, byte-identical outcomes required.
-    let mut picked = Vec::new();
-    while picked.len() < sources {
-        let s = NodeId::new((lcg(&mut rng) % nodes as u64) as usize);
-        if s != hospital && ctx.distance_to_target(s).is_finite() && !picked.contains(&s) {
-            picked.push(s);
-        }
-    }
-    let build_problem = |s: NodeId| {
-        AttackProblem::with_path_rank_in(
-            &net,
-            WeightType::Time,
-            CostType::Uniform,
-            s,
-            hospital,
-            rank,
-            &ctx,
-        )
-        .expect("sampled source stays buildable")
-    };
-    let run = |p: &AttackProblem<'_>| {
-        let (t, o) = timed(|| GreedyPathCover.attack(p));
-        (
-            t,
-            OutcomeKey {
-                removed: o.removed,
-                cost_bits: o.total_cost.to_bits(),
-                iterations: o.iterations,
-                status: o.status,
-            },
-        )
-    };
-    // A resident server builds the `(weight, target)` prototype table
-    // on its first request and serves every later one from the cached
-    // sweep; warm it here so the timed runs measure that steady state.
-    drop(hierarchy.rev_table(&weights, hospital));
-    let mut repair_ms_samples = Vec::new();
-    let mut cch_ms_samples = Vec::new();
-    let mut identical = true;
-    for &s in &picked {
-        let (t_rep, o_rep) = run(&build_problem(s).with_repair(true));
-        let (t_cch, o_cch) = run(&build_problem(s).with_hierarchy(&hierarchy));
-        identical &= o_rep == o_cch;
-        repair_ms_samples.push(t_rep);
-        cch_ms_samples.push(t_cch);
-    }
-    let attack_repair_ms = median(&mut repair_ms_samples);
-    let attack_cch_ms = median(&mut cch_ms_samples);
-    let attack_speedup = attack_repair_ms / attack_cch_ms.max(1e-6);
-    println!(
-        "attack      rank {rank}, {} sources  repair {attack_repair_ms:.0} ms  \
-         hierarchy {attack_cch_ms:.0} ms  speedup {attack_speedup:.2}x  \
-         identical: {identical}  (context build {ctx_ms:.0} ms)",
-        picked.len()
-    );
-
     let pass = gen_ratio <= max_gen_ratio
         && query_speedup >= min_query_speedup
-        && recustomize_speedup >= min_recustomize_speedup
-        && attack_cch_ms <= max_attack_ms
-        && identical;
+        && recustomize_speedup >= min_recustomize_speedup;
 
     let json = format!(
         "{{\n  \"bench\": \"perf_ch\",\n  \"preset\": \"{preset_name}\",\n  \"scale\": \"{}\",\n  \
@@ -322,16 +235,11 @@ fn main() {
          \"single_removal_ms\": {recustomize_ms:.3}, \"full_customize_ms\": {full_customize_ms:.0}, \
          \"full_rebuild_ms\": {full_rebuild_ms:.0}, \"speedup_vs_customize\": \
          {recustomize_speedup:.0}, \"min_speedup\": {min_recustomize_speedup}}},\n  \
-         \"attack\": {{\"algorithm\": \"greedy-pathcover\", \"rank\": {rank}, \
-         \"sources\": {}, \"repair_ms\": {attack_repair_ms:.0}, \"hierarchy_ms\": \
-         {attack_cch_ms:.0}, \"speedup\": {attack_speedup:.2}, \"max_hierarchy_ms\": \
-         {max_attack_ms}, \"records_identical\": {identical}}},\n  \
          \"pass\": {pass}\n}}\n",
         scale.cli_name(),
         ref_scale.cli_name(),
-        hierarchy.num_arcs(),
-        hierarchy.bytes_resident(),
-        picked.len(),
+        cch.num_arcs(),
+        bytes_resident,
     );
     std::fs::write(&out_path, &json).expect("write BENCH_ch.json");
     println!("wrote {out_path} (pass: {pass})");

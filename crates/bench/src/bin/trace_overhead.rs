@@ -8,12 +8,14 @@
 //! Starts two in-process servers on the Boston preset — one with
 //! `tracing: false`, one with `tracing: true` — and drives the same
 //! deterministic route/attack workload through both, alternating modes
-//! across `--rounds` rounds so allocator and cache warm-up affect both
-//! equally. Each round's wall time is kept; the per-mode cost is the
-//! **best** (minimum) round, which filters scheduler noise out of a
-//! measurement whose true signal is a handful of nanoseconds per trace
-//! point. The overhead is `(best_traced - best_untraced) /
-//! best_untraced`.
+//! across `--rounds` rounds (in ABBA order) so allocator and cache
+//! warm-up affect both equally. The default `--requests` makes a round
+//! last about a second on a 2-vCPU host, long enough that one
+//! scheduler hiccup cannot decide it. Each round's wall time is kept;
+//! the per-mode cost is the **best** (minimum) round, which filters
+//! scheduler noise out of a measurement whose true signal is a few
+//! microseconds per request (10–32 trace events). The overhead is
+//! `(best_traced - best_untraced) / best_untraced`.
 //!
 //! Exits non-zero unless: every request succeeds in both modes, the
 //! response bytes are identical with tracing on and off (the tracing
@@ -97,7 +99,7 @@ fn start_server(tracing: bool, workers: usize) -> Server {
 }
 
 fn main() {
-    let mut requests = 120usize;
+    let mut requests = 8000usize;
     let mut concurrency: Option<String> = None;
     let mut rounds = 5usize;
     let mut out_path = "BENCH_trace.json".to_string();
@@ -151,7 +153,13 @@ fn main() {
     let mut wall_traced = Vec::with_capacity(rounds);
     let mut errors = warm_errors_plain + warm_errors_traced;
     for round in 0..rounds {
-        for (walls, server) in [(&mut wall_plain, &plain), (&mut wall_traced, &traced)] {
+        // ABBA order: odd rounds drive the traced server first, so a
+        // bias toward whichever mode runs first cancels out.
+        let mut order = [(&mut wall_plain, &plain), (&mut wall_traced, &traced)];
+        if round % 2 == 1 {
+            order.reverse();
+        }
+        for (walls, server) in order {
             let (wall_s, _, errs) = drive(&server.local_addr(), &reqs, concurrency);
             walls.push(wall_s);
             errors += errs;

@@ -50,7 +50,6 @@ mod algorithms;
 mod context;
 mod defense;
 pub mod faults;
-mod hierarchy;
 mod limits;
 mod multi;
 mod perturb;
@@ -68,7 +67,6 @@ pub use algorithms::{
 pub use context::{NetworkCache, TargetContext};
 pub use defense::{minimal_hardening, HardeningPlan};
 pub use faults::{FaultPlan, FaultSite};
-pub use hierarchy::NetworkHierarchy;
 pub use limits::RunLimits;
 pub use multi::{coordinated_attack, CoordinatedError, CoordinatedOutcome};
 pub use perturb::{PerturbOracle, PerturbProblem, PerturbResult};

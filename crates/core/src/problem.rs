@@ -1,6 +1,6 @@
 //! The Force Path Cut problem instance (paper §II-B).
 
-use crate::{CostType, NetworkCache, NetworkHierarchy, RunLimits, TargetContext, WeightType};
+use crate::{CostType, NetworkCache, RunLimits, TargetContext, WeightType};
 use routing::{k_shortest_paths_with, kth_shortest_path, Path, YenConfig};
 use std::fmt;
 use std::sync::Arc;
@@ -82,7 +82,6 @@ pub struct AttackProblem<'g> {
     budget: Option<f64>,
     limits: RunLimits,
     repair: bool,
-    hierarchy: Option<Arc<NetworkHierarchy>>,
 }
 
 impl<'g> AttackProblem<'g> {
@@ -190,7 +189,6 @@ impl<'g> AttackProblem<'g> {
             budget: None,
             limits: RunLimits::default(),
             repair: true,
-            hierarchy: None,
         })
     }
 
@@ -320,31 +318,6 @@ impl<'g> AttackProblem<'g> {
     /// from this problem.
     pub fn repair(&self) -> bool {
         self.repair
-    }
-
-    /// Attaches a shared per-city [`NetworkHierarchy`]. Oracles built
-    /// from this problem then prune searches with hierarchy-backed
-    /// exact distances — each view mutation becomes an incremental
-    /// re-customization plus one PHAST sweep — taking precedence over
-    /// the [`AttackProblem::with_repair`] table. Attack records are
-    /// byte-identical with the hierarchy on or off (pruned distances
-    /// are exact either way; `tests/ch_equivalence.rs` pins this).
-    ///
-    /// The hierarchy must have been built for this problem's network.
-    pub fn with_hierarchy(mut self, hierarchy: &Arc<NetworkHierarchy>) -> Self {
-        self.hierarchy = Some(hierarchy.clone());
-        self
-    }
-
-    /// The attached per-city hierarchy, if any.
-    pub fn hierarchy(&self) -> Option<&Arc<NetworkHierarchy>> {
-        self.hierarchy.as_ref()
-    }
-
-    /// The shared per-edge weight vector (the `Arc` identity keys
-    /// hierarchy metric caching).
-    pub fn weights_arc(&self) -> &Arc<Vec<f64>> {
-        &self.weight
     }
 
     /// Attaches a shared [`TargetContext`] after construction (builder

@@ -12,9 +12,7 @@
 //!   from `p*` with a Yen-style spur pass along `p*`.
 
 use crate::{faults, AttackProblem};
-use routing::{
-    acquire_scratch, CancelToken, CchRevTable, Direction, Path, RepairTable, ScratchGuard,
-};
+use routing::{acquire_scratch, CancelToken, Direction, Path, RepairTable, ScratchGuard};
 use std::sync::Arc;
 use traffic_graph::GraphView;
 
@@ -42,12 +40,6 @@ pub struct Oracle {
     /// same tie-breaks — while the repaired table prunes relaxations
     /// that provably cannot finish within the violating bound.
     repair: Option<RepairTable>,
-    /// Hierarchy-backed exact distances on the current mutated view
-    /// (present when the problem attaches a
-    /// [`crate::NetworkHierarchy`]); takes the repair table's pruning
-    /// role, with each view mutation handled by an incremental CCH
-    /// re-customization instead of a Dijkstra repair.
-    cch: Option<CchRevTable>,
     cancel: Option<CancelToken>,
     max_calls: Option<u64>,
     calls: u64,
@@ -92,19 +84,6 @@ impl Oracle {
                 (Arc::new(d), Arc::new(p))
             }
         };
-        // A hierarchy displaces the repair table: both provide exact
-        // current-view distances for pruning, and building both would
-        // double the sync work per mutation. The hierarchy's baseline
-        // is the intact network; any pre-attack removals of the base
-        // view enter through the first sync's diff. The oracle's
-        // `(rev, rev_parent)` baseline — exactly what the repair path
-        // would build from — is attached so a budget-blown sync can
-        // demote to decremental repair without a fresh sweep.
-        let cch = problem.hierarchy().map(|h| {
-            let mut table = h.rev_table(problem.weights_arc(), problem.target());
-            table.set_fallback_baseline(rev.clone(), rev_parent.clone());
-            table
-        });
         // The repair baseline may include the base view's pre-attack
         // removals; syncing to views that keep those removals treats
         // them as non-tree no-ops, so the table stays exact. (A baseline
@@ -114,7 +93,7 @@ impl Oracle {
         // baseline instead of costing a full sweep: the oracle only
         // prunes with the table, and the baseline still lower-bounds
         // every attack view.
-        let repair = (problem.repair() && cch.is_none()).then(|| {
+        let repair = problem.repair().then(|| {
             RepairTable::new(problem.target(), rev.clone(), rev_parent, net.num_edges())
                 .demote_on_overflow()
         });
@@ -123,7 +102,6 @@ impl Oracle {
             scratch,
             rev,
             repair,
-            cch,
             cancel,
             max_calls: limits.max_oracle_calls,
             calls: 0,
@@ -175,23 +153,7 @@ impl Oracle {
         // (`pstar_weight + tie_margin`), so float noise in the pruning
         // sums can never touch a path any caller would accept.
         let bound = problem.pstar_weight() + 2.0 * problem.tie_margin();
-        if let Some(table) = self.cch.as_mut() {
-            let out = table.sync(view, |e| problem.weight_of(e));
-            let outcome = if out.fallback {
-                obs::inc("pathattack.reuse.cch.fallback");
-                "fallback"
-            } else if out.reset {
-                obs::inc("pathattack.reuse.cch.reset");
-                "reset"
-            } else {
-                obs::inc("pathattack.reuse.cch.sync");
-                "incremental"
-            };
-            obs::trace::point(
-                "oracle.cch",
-                &[("outcome", obs::AttrValue::Str(outcome.into()))],
-            );
-        } else if let Some(rep) = self.repair.as_mut().filter(|r| !r.is_demoted()) {
+        if let Some(rep) = self.repair.as_mut().filter(|r| !r.is_demoted()) {
             let out = rep.sync(view, |e| problem.weight_of(e));
             if out.demoted {
                 obs::inc("pathattack.reuse.repair.demoted");
@@ -216,19 +178,13 @@ impl Oracle {
         let Oracle {
             scratch,
             repair,
-            cch,
             rev,
             ..
         } = self;
-        // Current-view distances used only to prune: hierarchy when
-        // attached, repaired table otherwise. Both are exact for the
-        // synced view, or a lower bound once the repair table demoted,
-        // so the records cannot depend on the choice.
-        let prune: Option<&[f64]> = match (cch.as_ref(), repair.as_ref()) {
-            (Some(table), _) => Some(table.dist()),
-            (None, Some(rep)) => Some(rep.dist()),
-            (None, None) => None,
-        };
+        // Current-view distances used only to prune: exact for the
+        // synced view, or a lower bound once the table demoted, so the
+        // records cannot depend on them.
+        let prune: Option<&[f64]> = repair.as_ref().map(|rep| rep.dist());
 
         let shortest = match prune {
             Some(dist) => scratch.astar.shortest_path_bounded(

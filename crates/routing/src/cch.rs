@@ -37,32 +37,23 @@
 //!   priority queue, just two ancestor-path sweeps and a merge.
 //! - [`Cch::reverse_distances`] — PHAST-style one-to-all *into* a
 //!   target: an upward pass along the target's ancestor path and a
-//!   single descending sweep over all up-arcs. This is what seeds
-//!   oracle reverse-distance tables from the hierarchy.
+//!   single descending sweep over all up-arcs.
 //!
-//! [`CchRevTable`] packages metric + distances behind the same sync
-//! discipline as [`crate::RepairTable`]: diff the removal set of a
-//! [`GraphView`], fold the changed edges — removals *and* restores —
-//! into a sparse override map over the shared intact metric, then
-//! refresh only the part of the one-to-all table the changed arcs can
-//! reach (a partial PHAST sweep). Per-table state is `O(nodes)`, never
-//! `O(arcs)`. The re-customization is budgeted: a cascade that would
-//! touch more arcs than a bounded fraction of the closure demotes the
-//! table to decremental Dijkstra repair ([`crate::RepairTable`]) — see
-//! the [`CchRevTable`] docs for why that trade is forced.
+//! The attack oracles do not use the hierarchy: keeping a one-to-all
+//! table exact under removals by re-customization measured 5–32× slower
+//! than decremental Dijkstra repair ([`crate::RepairTable`]), because a
+//! removal near a high-rank separator cascades through a large share of
+//! the chordal arcs even when few final distances change.
 //!
 //! Distances are exact for the customized weight function, including
 //! `f64::INFINITY` for disconnected pairs. The property test in
 //! `tests/cch_property.rs` pins bit-equality against backward Dijkstra
 //! on integer-valued weights (where `f64` sums are associative).
 
-use crate::{Dijkstra, Direction, RepairTable};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 use std::collections::HashSet;
-use std::sync::Arc;
-use traffic_graph::{EdgeId, FrozenGraph, GraphView, NodeId};
+use traffic_graph::{EdgeId, FrozenGraph, NodeId};
 
 /// Sentinel for "no parent" / "no arc".
 const NONE: u32 = u32::MAX;
@@ -418,51 +409,7 @@ impl Cch {
         F: Fn(EdgeId) -> f64,
         I: IntoIterator<Item = EdgeId>,
     {
-        let recomputed = self
-            .recustomize_store(metric, weight, dirty_edges, None, u64::MAX)
-            .expect("unbounded re-customization always completes");
-        if obs::enabled() {
-            thread_local! {
-                static STATS: [obs::Counter; 2] = [
-                    obs::global().counter("routing.cch.recustomizations"),
-                    obs::global().counter("routing.cch.arcs_recomputed"),
-                ];
-            }
-            STATS.with(|[runs, arcs]| {
-                runs.add(1);
-                arcs.add(recomputed);
-            });
-        }
-        recomputed
-    }
-
-    /// The store-generic re-customization core shared by the dense
-    /// [`Cch::recustomize`] and [`CchRevTable`]'s sparse-override path.
-    /// When `changed` is given, every arc whose value actually changed
-    /// is appended to it (the input to a partial PHAST refresh).
-    ///
-    /// Stops and returns `None` once more than `budget` arcs have been
-    /// recomputed. Adversarial removals near a high-rank separator can
-    /// cascade through a large fraction of the chordal closure even
-    /// when few *final distances* change, so metric maintenance is
-    /// intrinsically `O(arcs)` worst-case; a bounded caller switches
-    /// to a distance-repair method instead (see [`CchRevTable::sync`]).
-    /// After `None` the store holds a partial write set and must be
-    /// treated as abandoned. Pass `u64::MAX` for the unbounded classic
-    /// behavior.
-    fn recustomize_store<S, F, I>(
-        &self,
-        store: &mut S,
-        weight: F,
-        dirty_edges: I,
-        mut changed: Option<&mut Vec<u32>>,
-        budget: u64,
-    ) -> Option<u64>
-    where
-        S: MetricStore,
-        F: Fn(EdgeId) -> f64,
-        I: IntoIterator<Item = EdgeId>,
-    {
+        let CchMetric { w_up, w_down } = metric;
         let mut queue: BinaryHeap<Reverse<(u32, u32, u32)>> = BinaryHeap::new();
         let mut queued: HashSet<u32> = HashSet::new();
         for e in dirty_edges {
@@ -475,9 +422,6 @@ impl Cch {
         while let Some(Reverse((x, y, a))) = queue.pop() {
             queued.remove(&a);
             recomputed += 1;
-            if recomputed > budget {
-                return None;
-            }
             let (mut nu, mut nd) = self.arc_seed(a, &weight);
             // Lower triangles: common down-neighbors of x and y.
             let (xs, xe) = self.down_range(x);
@@ -490,11 +434,11 @@ impl Cch {
                     std::cmp::Ordering::Equal => {
                         let ax = self.down_arc[i] as usize; // (z, x)
                         let ay = self.down_arc[j] as usize; // (z, y)
-                        let up = store.down(ax) + store.up(ay); // x → z → y
+                        let up = w_down[ax] + w_up[ay]; // x → z → y
                         if up < nu {
                             nu = up;
                         }
-                        let down = store.down(ay) + store.up(ax); // y → z → x
+                        let down = w_down[ay] + w_up[ax]; // y → z → x
                         if down < nd {
                             nd = down;
                         }
@@ -504,11 +448,9 @@ impl Cch {
                 }
             }
             let a = a as usize;
-            if nu != store.up(a) || nd != store.down(a) {
-                store.set(a, nu, nd);
-                if let Some(list) = changed.as_deref_mut() {
-                    list.push(a as u32);
-                }
+            if nu != w_up[a] || nd != w_down[a] {
+                w_up[a] = nu;
+                w_down[a] = nd;
                 // Every triangle rooted at x that contains {x, y}
                 // pairs it with another up-neighbor w of x; the third
                 // side {y, w} exists by chordality and must re-check.
@@ -527,7 +469,19 @@ impl Cch {
                 }
             }
         }
-        Some(recomputed)
+        if obs::enabled() {
+            thread_local! {
+                static STATS: [obs::Counter; 2] = [
+                    obs::global().counter("routing.cch.recustomizations"),
+                    obs::global().counter("routing.cch.arcs_recomputed"),
+                ];
+            }
+            STATS.with(|[runs, arcs]| {
+                runs.add(1);
+                arcs.add(recomputed);
+            });
+        }
+        recomputed
     }
 
     /// The lower-endpoint rank of arc `a` (binary search over the CSR
@@ -614,81 +568,6 @@ impl CchMetric {
     pub fn copy_from(&mut self, base: &CchMetric) {
         self.w_up.copy_from_slice(&base.w_up);
         self.w_down.copy_from_slice(&base.w_down);
-    }
-}
-
-/// Arc-weight storage the re-customization core writes through: either
-/// a dense [`CchMetric`] or a sparse override map over a shared base
-/// (what [`CchRevTable`] uses so mutating a per-oracle view never
-/// copies the full metric).
-trait MetricStore {
-    fn up(&self, a: usize) -> f64;
-    fn down(&self, a: usize) -> f64;
-    fn set(&mut self, a: usize, up: f64, down: f64);
-}
-
-impl MetricStore for CchMetric {
-    #[inline]
-    fn up(&self, a: usize) -> f64 {
-        self.w_up[a]
-    }
-    #[inline]
-    fn down(&self, a: usize) -> f64 {
-        self.w_down[a]
-    }
-    #[inline]
-    fn set(&mut self, a: usize, up: f64, down: f64) {
-        self.w_up[a] = up;
-        self.w_down[a] = down;
-    }
-}
-
-/// Sparse view: `overrides` holds only arcs whose value differs from
-/// `base`, with a one-bit-per-arc membership mask in front of the map.
-/// Reads sit in the re-customization merge scan's innermost loop, and
-/// overridden arcs are rare there — the mask keeps the common case at
-/// a bit-test plus a base-column read instead of a hash probe (which
-/// measured ~7× slower end to end). Writing a value back to its
-/// baseline drops the entry, so the map shrinks to empty when every
-/// removal is restored.
-struct SparseMetric<'a> {
-    base: &'a CchMetric,
-    overrides: &'a mut HashMap<u32, (f64, f64)>,
-    /// Bit `a` set ⇔ arc `a` has an entry in `overrides`.
-    over_mask: &'a mut [u64],
-}
-
-#[inline]
-fn mask_get(mask: &[u64], a: usize) -> bool {
-    mask[a >> 6] >> (a & 63) & 1 == 1
-}
-
-impl MetricStore for SparseMetric<'_> {
-    #[inline]
-    fn up(&self, a: usize) -> f64 {
-        if mask_get(self.over_mask, a) {
-            self.overrides[&(a as u32)].0
-        } else {
-            self.base.w_up[a]
-        }
-    }
-    #[inline]
-    fn down(&self, a: usize) -> f64 {
-        if mask_get(self.over_mask, a) {
-            self.overrides[&(a as u32)].1
-        } else {
-            self.base.w_down[a]
-        }
-    }
-    #[inline]
-    fn set(&mut self, a: usize, up: f64, down: f64) {
-        if up == self.base.w_up[a] && down == self.base.w_down[a] {
-            self.overrides.remove(&(a as u32));
-            self.over_mask[a >> 6] &= !(1u64 << (a & 63));
-        } else {
-            self.overrides.insert(a as u32, (up, down));
-            self.over_mask[a >> 6] |= 1u64 << (a & 63);
-        }
     }
 }
 
@@ -838,467 +717,6 @@ impl CchSearch {
     }
 }
 
-/// What a [`CchRevTable::sync`] call did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CchSyncOutcome {
-    /// The removal set differed from the previous sync.
-    pub changed: bool,
-    /// The metric was reset from the intact baseline first (an edge
-    /// was restored since the previous sync).
-    pub reset: bool,
-    /// Chordal arcs recomputed by the incremental re-customization.
-    pub arcs_recomputed: u64,
-    /// The sync was served by the demoted repair fallback — either this
-    /// call blew the arc budget or an earlier one already did.
-    pub fallback: bool,
-}
-
-/// Hierarchy-backed one-to-all reverse distance table for one
-/// `(network, weight, target)` triple, with the same sync discipline as
-/// [`crate::RepairTable`]: diff a [`GraphView`]'s removal set, fold the
-/// changed edges (removals *and* restores — a recomputed arc is exact
-/// either way) into a sparse override map over the shared intact
-/// metric, then refresh only the PHAST cone those arc changes reach.
-/// Nothing here is `O(arcs)` after construction: per-oracle state is
-/// `O(nodes)` plus the override map, and a sync costs the dirty
-/// region, not the graph.
-///
-/// The incremental re-customization is *budgeted*: removals touching
-/// shortest paths near the target cascade through millions of chordal
-/// arcs even when almost no final distance changes — metric
-/// maintenance is `O(arcs)` worst-case while distance repair is
-/// `O(affected)`. A sync that blows the budget abandons the metric for
-/// good and demotes the table to a [`crate::RepairTable`]
-/// (decremental Dijkstra repair), seeded from the baseline given to
-/// [`CchRevTable::set_fallback_baseline`] when one is attached (two
-/// memcpys) or from one backward sweep otherwise. Distances stay exact
-/// either way; only the maintenance algorithm switches.
-///
-/// `Clone` copies the `O(nodes)` state and shares the topology and
-/// base metric — how `NetworkHierarchy` (in the core crate) hands
-/// every oracle a pre-swept table for its `(weight, target)` key.
-#[derive(Clone)]
-pub struct CchRevTable {
-    cch: Arc<Cch>,
-    base: Arc<CchMetric>,
-    /// Arcs whose customized value differs from `base` under the
-    /// current removal set.
-    overrides: HashMap<u32, (f64, f64)>,
-    /// One bit per arc mirroring `overrides` membership (see
-    /// [`SparseMetric`]).
-    over_mask: Vec<u64>,
-    target: NodeId,
-    /// Node-indexed distances to the target (the public view).
-    dist: Vec<f64>,
-    /// Rank-indexed final sweep values (`dist` in rank space).
-    scratch: Vec<f64>,
-    /// Rank-indexed phase-1 seeds: pure-descent distances on the
-    /// target's elimination path, `∞` everywhere else.
-    seed: Vec<f64>,
-    /// The target's elimination path, ascending in rank.
-    path: Vec<u32>,
-    removed: Vec<bool>,
-    removed_list: Vec<EdgeId>,
-    /// Scratch: arcs changed by the last re-customization.
-    changed_arcs: Vec<u32>,
-    /// Scratch: pending ranks for the partial sweep (max-heap) and its
-    /// rank-indexed dedup flags (a hash set here measured ~10× slower
-    /// on large cascades).
-    dirty: BinaryHeap<u32>,
-    marked: Vec<bool>,
-    /// Per-sync cap on arcs recomputed before the incremental metric
-    /// path gives up (see the type docs).
-    budget: u64,
-    /// Intact-view baseline distances/parents for seeding the demoted
-    /// repair table without a fresh backward sweep.
-    fb_dist: Option<Arc<Vec<f64>>>,
-    fb_parent: Option<Arc<Vec<u32>>>,
-    /// Present once a sync blew the budget: the table is permanently
-    /// demoted and every later sync (and read) goes through here.
-    fallback: Option<RepairTable>,
-}
-
-impl std::fmt::Debug for CchRevTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CchRevTable")
-            .field("target", &self.target)
-            .field("nodes", &self.cch.num_nodes())
-            .field("arcs", &self.cch.num_arcs())
-            .field("removed", &self.removed_list.len())
-            .field("overrides", &self.overrides.len())
-            .field("demoted", &self.fallback.is_some())
-            .finish()
-    }
-}
-
-impl CchRevTable {
-    /// Creates a table over the intact baseline `base` (the metric from
-    /// [`Cch::customize`] with no removals). `num_edges` sizes the
-    /// removal mask. The initial distances reflect the intact network.
-    pub fn new(cch: Arc<Cch>, base: Arc<CchMetric>, target: NodeId, num_edges: usize) -> Self {
-        let n = cch.num_nodes();
-        let mut path = Vec::new();
-        let mut x = cch.rank[target.index()];
-        while x != NONE {
-            path.push(x);
-            x = cch.parent[x as usize];
-        }
-        let mut table = CchRevTable {
-            target,
-            overrides: HashMap::new(),
-            over_mask: vec![0u64; cch.num_arcs().div_ceil(64)],
-            dist: Vec::new(),
-            scratch: Vec::new(),
-            seed: vec![f64::INFINITY; n],
-            path,
-            removed: vec![false; num_edges],
-            removed_list: Vec::new(),
-            changed_arcs: Vec::new(),
-            dirty: BinaryHeap::new(),
-            marked: vec![false; n],
-            budget: (cch.num_arcs() as u64 / 1024).max(4096),
-            fb_dist: None,
-            fb_parent: None,
-            fallback: None,
-            base,
-            cch,
-        };
-        table.seed[table.path[0] as usize] = 0.0;
-        table.refresh_seeds(false);
-        table
-            .cch
-            .reverse_distances(&table.base, target, &mut table.dist, &mut table.scratch);
-        table
-    }
-
-    /// The target node this table measures distances to.
-    pub fn target(&self) -> NodeId {
-        self.target
-    }
-
-    /// Attaches an intact-view `(distances, parents)` baseline — the
-    /// output of a backward [`crate::Dijkstra::distances_and_parents`]
-    /// sweep from this table's target — so a budget-blown sync can
-    /// demote to a [`crate::RepairTable`] with two memcpys instead of
-    /// a fresh `O(n log n)` sweep. Callers that already hold such a
-    /// baseline (the oracle's target context does) should always
-    /// attach it.
-    pub fn set_fallback_baseline(&mut self, dist: Arc<Vec<f64>>, parent: Arc<Vec<u32>>) {
-        self.fb_dist = Some(dist);
-        self.fb_parent = Some(parent);
-    }
-
-    /// Overrides the per-sync arc-recomputation budget above which the
-    /// table demotes itself to decremental repair. The default is
-    /// `max(4096, arcs / 1024)`.
-    pub fn set_sync_budget(&mut self, budget: u64) {
-        self.budget = budget;
-    }
-
-    /// Whether a sync has demoted this table to the repair fallback.
-    pub fn demoted(&self) -> bool {
-        self.fallback.is_some()
-    }
-
-    /// The current distance table (valid for the last synced view).
-    pub fn dist(&self) -> &[f64] {
-        match &self.fallback {
-            Some(rep) => rep.dist(),
-            None => &self.dist,
-        }
-    }
-
-    /// Distance from `node` to the target on the last synced view.
-    pub fn distance(&self, node: NodeId) -> f64 {
-        self.dist()[node.index()]
-    }
-
-    /// Heap bytes of per-table state (the shared topology and base
-    /// metric are not counted — they live once per hierarchy).
-    pub fn bytes_resident(&self) -> usize {
-        8 * (self.dist.len() + self.scratch.len() + self.seed.len() + self.over_mask.len())
-            + 4 * self.path.len()
-            + self.removed.len()
-            + 24 * self.overrides.len()
-            + self.fallback.as_ref().map_or(0, |r| r.bytes_resident())
-    }
-
-    /// Recomputes the phase-1 seeds along the target's elimination
-    /// path (every pure descent into the target lives on it), reading
-    /// arc weights through the override map. When `mark` is set, path
-    /// nodes whose seed changed enter the partial-sweep worklist.
-    ///
-    /// Down-arc tails always rank below their head, so walking the
-    /// path ascending finalizes each tail's seed before any higher
-    /// node reads it — the same order [`Cch::reverse_distances`] uses,
-    /// hence bit-identical values.
-    fn refresh_seeds(&mut self, mark: bool) {
-        let CchRevTable {
-            cch,
-            base,
-            overrides,
-            over_mask,
-            seed,
-            path,
-            dirty,
-            marked,
-            ..
-        } = self;
-        for &x in &path[1..] {
-            let (s, e) = cch.down_range(x);
-            let mut best = f64::INFINITY;
-            for i in s..e {
-                let w = seed[cch.down_tail[i] as usize];
-                if w < f64::INFINITY {
-                    let a = cch.down_arc[i] as usize;
-                    let wd = if mask_get(over_mask, a) {
-                        overrides[&(a as u32)].1
-                    } else {
-                        base.w_down[a]
-                    };
-                    let cand = wd + w;
-                    if cand < best {
-                        best = cand;
-                    }
-                }
-            }
-            if best != seed[x as usize] {
-                seed[x as usize] = best;
-                if mark && !marked[x as usize] {
-                    marked[x as usize] = true;
-                    dirty.push(x);
-                }
-            }
-        }
-    }
-
-    /// Propagates the last re-customization's arc changes (plus any
-    /// changed seeds already in the worklist) through the descending
-    /// sweep, recomputing only reachable-downward nodes. Popping the
-    /// max-heap in descending rank order finalizes every up-neighbor
-    /// before a node re-reads it; a node whose recomputed value is
-    /// unchanged stops the cascade. Returns nodes recomputed.
-    fn refresh_partial(&mut self) -> u64 {
-        let CchRevTable {
-            cch,
-            base,
-            overrides,
-            over_mask,
-            dist,
-            scratch,
-            seed,
-            changed_arcs,
-            dirty,
-            marked,
-            ..
-        } = self;
-        for a in changed_arcs.drain(..) {
-            let x = cch.arc_tail(a);
-            if !marked[x as usize] {
-                marked[x as usize] = true;
-                dirty.push(x);
-            }
-        }
-        let mut recomputed = 0u64;
-        while let Some(x) = dirty.pop() {
-            recomputed += 1;
-            let xi = x as usize;
-            // Pop-once (see above) means x can never be re-offered, so
-            // its flag can clear now — the sweep leaves `marked` all
-            // false without an O(n) reset.
-            marked[xi] = false;
-            let (s, e) = cch.up_range(x);
-            let mut best = seed[xi];
-            for i in s..e {
-                let wu = if mask_get(over_mask, i) {
-                    overrides[&(i as u32)].0
-                } else {
-                    base.w_up[i]
-                };
-                let cand = wu + scratch[cch.up_head[i] as usize];
-                if cand < best {
-                    best = cand;
-                }
-            }
-            if best != scratch[xi] {
-                scratch[xi] = best;
-                dist[cch.order[xi] as usize] = best;
-                let (ds, de) = cch.down_range(x);
-                for i in ds..de {
-                    let w = cch.down_tail[i] as usize;
-                    if !marked[w] {
-                        marked[w] = true;
-                        dirty.push(w as u32);
-                    }
-                }
-            }
-        }
-        recomputed
-    }
-
-    /// Brings overrides and distances in sync with `view`'s removal
-    /// set. `weight` must match the function `base` was customized
-    /// with. No-op (`O(removals)`) when the set is unchanged. Restores
-    /// need no baseline reset: a restored edge is just another dirty
-    /// edge whose arcs recompute back toward (and usually onto) their
-    /// baseline values.
-    ///
-    /// A sync whose re-customization cascade exceeds the arc budget
-    /// abandons the metric and permanently demotes the table to a
-    /// [`crate::RepairTable`] (see the type docs); that sync and every
-    /// later one are served by decremental Dijkstra repair instead,
-    /// still exact for the synced view.
-    pub fn sync<F>(&mut self, view: &GraphView<'_>, weight: F) -> CchSyncOutcome
-    where
-        F: Fn(EdgeId) -> f64,
-    {
-        let mut out = CchSyncOutcome::default();
-        let dropped = self.removed_list.iter().any(|&e| !view.is_removed(e));
-        if !dropped && view.removed_count() == self.removed_list.len() {
-            out.fallback = self.fallback.is_some();
-            return out;
-        }
-        out.changed = true;
-        out.reset = dropped;
-
-        // `removed`/`removed_list` mirror the last synced removal set in
-        // both regimes. Once demoted they no longer describe the
-        // abandoned metric — only what the fallback table was last
-        // synced to, which is all the early-out above needs.
-        let mut dirty: Vec<EdgeId> = Vec::new();
-        {
-            let CchRevTable {
-                removed,
-                removed_list,
-                ..
-            } = self;
-            if dropped {
-                removed_list.retain(|&e| {
-                    if view.is_removed(e) {
-                        true
-                    } else {
-                        removed[e.index()] = false;
-                        dirty.push(e);
-                        false
-                    }
-                });
-            }
-            for e in view.removed_edges() {
-                if !removed[e.index()] {
-                    removed[e.index()] = true;
-                    removed_list.push(e);
-                    dirty.push(e);
-                }
-            }
-        }
-
-        let mut nodes = 0u64;
-        if let Some(rep) = self.fallback.as_mut() {
-            let _timer = obs::span("routing.cch.rev_fallback");
-            rep.sync(view, &weight);
-            out.fallback = true;
-        } else {
-            let recomputed = {
-                let CchRevTable {
-                    cch,
-                    base,
-                    overrides,
-                    over_mask,
-                    removed,
-                    changed_arcs,
-                    budget,
-                    ..
-                } = self;
-                let masked = |e: EdgeId| {
-                    if removed[e.index()] {
-                        f64::INFINITY
-                    } else {
-                        weight(e)
-                    }
-                };
-                let _timer = obs::span("routing.cch.rev_recustomize");
-                cch.recustomize_store(
-                    &mut SparseMetric {
-                        base,
-                        overrides,
-                        over_mask,
-                    },
-                    masked,
-                    dirty.iter().copied(),
-                    Some(changed_arcs),
-                    *budget,
-                )
-            };
-            match recomputed {
-                Some(arcs) => {
-                    out.arcs_recomputed = arcs;
-                    let _timer = obs::span("routing.cch.rev_refresh");
-                    self.refresh_seeds(true);
-                    nodes = self.refresh_partial();
-                }
-                None => {
-                    // Budget blown: the override map holds a partial
-                    // write set and is dead from here on, as are the
-                    // seeds, scratch, and worklist feeding the partial
-                    // PHAST sweep.
-                    self.changed_arcs.clear();
-                    self.demote(view, &weight);
-                    out.fallback = true;
-                }
-            }
-        }
-        if obs::enabled() {
-            thread_local! {
-                static STATS: [obs::Counter; 4] = [
-                    obs::global().counter("routing.cch.resyncs"),
-                    obs::global().counter("routing.cch.resets"),
-                    obs::global().counter("routing.cch.rev_nodes_recomputed"),
-                    obs::global().counter("routing.cch.rev_arcs_recomputed"),
-                ];
-            }
-            STATS.with(|[resyncs, resets, recomputed, arcs]| {
-                resyncs.add(1);
-                if out.reset {
-                    resets.add(1);
-                }
-                recomputed.add(nodes);
-                arcs.add(out.arcs_recomputed);
-            });
-        }
-        out
-    }
-
-    /// Builds the repair fallback and syncs it to `view`: seeded from
-    /// the attached intact-view baseline when present (two memcpys
-    /// inside [`RepairTable::new`]), otherwise from one backward sweep
-    /// over the intact network. Either baseline matches what the
-    /// repair-only oracle path uses, so distances — and therefore
-    /// attack records — cannot depend on how the table got here.
-    fn demote<F>(&mut self, view: &GraphView<'_>, weight: &F)
-    where
-        F: Fn(EdgeId) -> f64,
-    {
-        obs::inc("routing.cch.rev_fallbacks");
-        let _timer = obs::span("routing.cch.rev_demote");
-        let (bd, bp) = match (self.fb_dist.take(), self.fb_parent.take()) {
-            (Some(d), Some(p)) => (d, p),
-            _ => {
-                let intact = GraphView::new(view.network());
-                let (d, p) = Dijkstra::new(view.network().num_nodes()).distances_and_parents(
-                    &intact,
-                    weight,
-                    self.target,
-                    Direction::Backward,
-                );
-                (Arc::new(d), Arc::new(p))
-            }
-        };
-        let mut rep = RepairTable::new(self.target, bd, bp, self.removed.len());
-        rep.sync(view, weight);
-        self.fallback = Some(rep);
-    }
-}
-
 /// Geometric nested-dissection elimination order: recursively split on
 /// the median coordinate (alternating axes), order both halves first
 /// and the separator — boundary nodes of the upper half — last. Leaves
@@ -1389,7 +807,7 @@ fn nested_dissection_order(g: &FrozenGraph) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::{Dijkstra, Direction, WeightOverlay};
-    use traffic_graph::{Point, RoadClass, RoadNetwork, RoadNetworkBuilder};
+    use traffic_graph::{GraphView, Point, RoadClass, RoadNetwork, RoadNetworkBuilder};
 
     /// 5×5 two-way grid with deterministic pseudo-random lengths.
     fn grid5() -> RoadNetwork {
@@ -1563,101 +981,6 @@ mod tests {
         let full = cch.customize(&perturbed);
         assert_eq!(metric.w_up, full.w_up);
         assert_eq!(metric.w_down, full.w_down);
-    }
-
-    #[test]
-    fn rev_table_syncs_like_fresh_sweeps() {
-        let net = grid5();
-        let frozen = FrozenGraph::freeze(&net);
-        let cch = Arc::new(Cch::build(&frozen));
-        let base = Arc::new(cch.customize(lengths(&net)));
-        let target = NodeId::new(24);
-        let mut table = CchRevTable::new(cch, base, target, net.num_edges());
-        let mut view = GraphView::new(&net);
-        let mut dij = Dijkstra::new(net.num_nodes());
-
-        let check = |table: &CchRevTable, view: &GraphView<'_>, dij: &mut Dijkstra| {
-            let want = dij.distances(view, lengths(&net), target, Direction::Backward);
-            for (v, w) in want.iter().enumerate() {
-                assert_eq!(
-                    table.distance(NodeId::new(v)).to_bits(),
-                    w.to_bits(),
-                    "node {v}"
-                );
-            }
-        };
-        check(&table, &view, &mut dij);
-
-        view.remove_edge(EdgeId::new(0));
-        view.remove_edge(EdgeId::new(11));
-        let out = table.sync(&view, lengths(&net));
-        assert!(out.changed && !out.reset);
-        check(&table, &view, &mut dij);
-
-        // No-op sync.
-        let out = table.sync(&view, lengths(&net));
-        assert_eq!(out, CchSyncOutcome::default());
-
-        // Restore triggers a baseline reset.
-        view.restore_edge(EdgeId::new(0));
-        view.remove_edge(EdgeId::new(30));
-        let out = table.sync(&view, lengths(&net));
-        assert!(out.changed && out.reset);
-        check(&table, &view, &mut dij);
-    }
-
-    #[test]
-    fn rev_table_demotes_to_repair_and_stays_exact() {
-        let net = grid5();
-        let frozen = FrozenGraph::freeze(&net);
-        let cch = Arc::new(Cch::build(&frozen));
-        let base = Arc::new(cch.customize(lengths(&net)));
-        let target = NodeId::new(24);
-        let mut table = CchRevTable::new(cch, base, target, net.num_edges());
-        // A zero budget makes the first non-trivial sync blow it, so
-        // every path below runs through the repair fallback.
-        table.set_sync_budget(0);
-        let mut view = GraphView::new(&net);
-        let mut dij = Dijkstra::new(net.num_nodes());
-
-        let check = |table: &CchRevTable, view: &GraphView<'_>, dij: &mut Dijkstra| {
-            let want = dij.distances(view, lengths(&net), target, Direction::Backward);
-            for (v, w) in want.iter().enumerate() {
-                assert_eq!(
-                    table.distance(NodeId::new(v)).to_bits(),
-                    w.to_bits(),
-                    "node {v}"
-                );
-            }
-        };
-        assert!(!table.demoted());
-
-        view.remove_edge(EdgeId::new(0));
-        view.remove_edge(EdgeId::new(11));
-        let out = table.sync(&view, lengths(&net));
-        assert!(out.changed && out.fallback && table.demoted());
-        check(&table, &view, &mut dij);
-
-        // No-op sync stays a no-op (and keeps reporting the regime).
-        let out = table.sync(&view, lengths(&net));
-        assert!(!out.changed && out.fallback);
-
-        // Later removals and restores are served by the fallback.
-        view.remove_edge(EdgeId::new(30));
-        let out = table.sync(&view, lengths(&net));
-        assert!(out.changed && !out.reset && out.fallback);
-        check(&table, &view, &mut dij);
-
-        view.restore_edge(EdgeId::new(11));
-        let out = table.sync(&view, lengths(&net));
-        assert!(out.changed && out.reset && out.fallback);
-        check(&table, &view, &mut dij);
-
-        // Restoring everything converges back to the intact distances.
-        view.restore_edge(EdgeId::new(0));
-        view.restore_edge(EdgeId::new(30));
-        table.sync(&view, lengths(&net));
-        check(&table, &view, &mut dij);
     }
 
     #[test]

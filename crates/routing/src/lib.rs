@@ -62,7 +62,7 @@ pub use alt::Landmarks;
 pub use astar::AStar;
 pub use bidirectional::bidirectional_shortest_path;
 pub use cancel::{CancelToken, CHECK_STRIDE};
-pub use cch::{Cch, CchMetric, CchRevTable, CchSearch, CchSyncOutcome};
+pub use cch::{Cch, CchMetric, CchSearch};
 pub use ch::ContractionHierarchy;
 pub use dijkstra::{Dijkstra, Direction};
 pub use heap::{HeapEntry, NO_EDGE};

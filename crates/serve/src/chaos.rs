@@ -292,11 +292,13 @@ fn pump_requests(mut from_client: TcpStream, mut to_server: TcpStream, plan: Cha
     shutdown_both(&from_client, &to_server);
 }
 
+/// Forwards a frame as read, possibly corrupted header included, in
+/// one write like [`crate::write_frame`].
 fn write_frame_raw(w: &mut TcpStream, frame: &RawFrame) -> bool {
-    w.write_all(&frame.header)
-        .and_then(|_| w.write_all(&frame.payload))
-        .and_then(|_| w.flush())
-        .is_ok()
+    let mut bytes = Vec::with_capacity(FRAME_HEADER + frame.payload.len());
+    bytes.extend_from_slice(&frame.header);
+    bytes.extend_from_slice(&frame.payload);
+    w.write_all(&bytes).and_then(|_| w.flush()).is_ok()
 }
 
 /// Dribbles a frame: header and the first payload bytes go out in

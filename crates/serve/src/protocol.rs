@@ -101,6 +101,11 @@ pub fn frame_checksum(bytes: &[u8]) -> u32 {
 /// Writes one frame (4-byte big-endian length, 4-byte big-endian
 /// FNV-1a checksum, then the payload).
 ///
+/// Header and payload leave in a single `write_all` from one buffer.
+/// Two writes on an unbuffered socket let Nagle's algorithm hold the
+/// payload until the peer's delayed ACK of the header, ~40 ms per
+/// frame.
+///
 /// # Errors
 ///
 /// Propagates transport errors; refuses payloads over [`MAX_FRAME`].
@@ -111,11 +116,11 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             "frame exceeds MAX_FRAME",
         ));
     }
-    let mut header = [0u8; FRAME_HEADER];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    header[4..].copy_from_slice(&frame_checksum(payload).to_be_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(&frame_checksum(payload).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -574,6 +579,35 @@ mod tests {
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r).unwrap(), b"{\"x\":1}");
         assert!(matches!(read_frame(&mut r), Err(FrameError::Closed)));
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_with_the_header_then_payload_bytes() {
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for payload in [&b""[..], b"{\"kind\":\"ping\",\"id\":1}", &[7u8; 70_000]] {
+            let mut w = Counting::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "one write per {}-byte frame", payload.len());
+            let mut old = Vec::new();
+            old.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            old.extend_from_slice(&frame_checksum(payload).to_be_bytes());
+            old.extend_from_slice(payload);
+            assert_eq!(w.bytes, old, "wire bytes are header then payload");
+        }
     }
 
     #[test]

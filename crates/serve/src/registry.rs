@@ -12,9 +12,9 @@
 //! bench.
 
 use parking_lot::Mutex;
-use pathattack::{NetworkCache, NetworkHierarchy, TargetContext, WeightType};
+use pathattack::{NetworkCache, TargetContext, WeightType};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use traffic_graph::{NodeId, Poi, PoiKind, RoadNetwork};
 
 /// One loaded city plus its cross-request reuse state.
@@ -25,7 +25,6 @@ pub struct ResidentNetwork {
     hospitals: Vec<Poi>,
     cache: Arc<NetworkCache>,
     contexts: Mutex<HashMap<(WeightType, NodeId), Arc<TargetContext>>>,
-    hierarchy: OnceLock<Arc<NetworkHierarchy>>,
 }
 
 impl ResidentNetwork {
@@ -38,7 +37,6 @@ impl ResidentNetwork {
             hospitals,
             cache: Arc::new(NetworkCache::new()),
             contexts: Mutex::new(HashMap::new()),
-            hierarchy: OnceLock::new(),
         }
     }
 
@@ -106,22 +104,6 @@ impl ResidentNetwork {
     /// Number of distinct shared contexts built so far.
     pub fn num_contexts(&self) -> usize {
         self.contexts.lock().len()
-    }
-
-    /// The resident [`NetworkHierarchy`] for this city, built on first
-    /// use (batched mode attaches it to attack problems; the build —
-    /// freeze plus metric-independent contraction — is paid once per
-    /// city and every later request re-customizes instead).
-    pub fn hierarchy(&self) -> &Arc<NetworkHierarchy> {
-        self.hierarchy
-            .get_or_init(|| Arc::new(NetworkHierarchy::build(&self.net)))
-    }
-
-    /// The resident hierarchy if some request already built it — used
-    /// by `stats`/`health` reporting, which must not trigger the
-    /// expensive contraction itself.
-    pub fn hierarchy_if_built(&self) -> Option<&Arc<NetworkHierarchy>> {
-        self.hierarchy.get()
     }
 }
 
@@ -211,18 +193,6 @@ mod tests {
         let d = resident.fresh_context(WeightType::Time, target);
         assert!(!Arc::ptr_eq(&a, &d));
         assert_eq!(resident.num_contexts(), 2);
-    }
-
-    #[test]
-    fn hierarchy_is_lazy_and_shared() {
-        let city = CityPreset::Boston.build(Scale::Small, 42);
-        let resident = ResidentNetwork::new("boston", city);
-        assert!(resident.hierarchy_if_built().is_none());
-        let a = resident.hierarchy().clone();
-        let b = resident.hierarchy().clone();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.num_nodes(), resident.net().num_nodes());
-        assert!(resident.hierarchy_if_built().is_some());
     }
 
     #[test]

@@ -58,8 +58,7 @@ use obs::{AttrValue, JsonValue};
 use parking_lot::Mutex;
 use pathattack::{
     AttackAlgorithm, AttackProblem, AttackStatus, GreedyBetweenness, GreedyEdge, GreedyEig,
-    GreedyPathCover, LpPathCover, LpPerturb, NetworkHierarchy, PerturbProblem, RunLimits,
-    TargetContext,
+    GreedyPathCover, LpPathCover, LpPerturb, PerturbProblem, RunLimits, TargetContext,
 };
 use std::collections::BTreeMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -543,7 +542,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     while !shared.draining() {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let writer = match stream.try_clone() {
+                let writer = match setup_conn(&stream) {
                     Ok(clone) => Arc::new(Mutex::new(clone)),
                     Err(_) => continue,
                 };
@@ -569,6 +568,14 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     }
     // Drain: returning drops the listener (no new connections); the
     // supervisor notices the exit and runs the drain endgame.
+}
+
+/// Per-connection socket setup; returns the writer half. Nagle is off
+/// so each one-write response frame leaves at once instead of waiting
+/// for the client's delayed ACK (~40 ms per response otherwise).
+fn setup_conn(stream: &TcpStream) -> std::io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    stream.try_clone()
 }
 
 fn send(writer: &Mutex<TcpStream>, payload: &[u8]) {
@@ -1059,25 +1066,11 @@ fn process_job(
         let _exec = obs::trace::span("exec");
         match job.request.kind {
             RequestKind::Route => exec_route(&job, &context_for(&job, batch_ctx, batching)),
-            RequestKind::Attack => {
-                // The resident hierarchy rides the same key as the
-                // shared context: batched mode pays the contraction
-                // once per city, unbatched mode stays hierarchy-free
-                // (the byte-identity baseline `serve_load` compares
-                // against — results match either way, pinned by
-                // `ch_equivalence`).
-                let hierarchy = batching.then(|| job.resident.hierarchy().clone());
-                exec_attack(
-                    &job,
-                    &context_for(&job, batch_ctx, batching),
-                    hierarchy.as_ref(),
-                    now,
-                )
+            RequestKind::Attack => exec_attack(&job, &context_for(&job, batch_ctx, batching), now)
                 .map(|(value, timed_out)| {
                     exec_timed_out = timed_out;
                     value
-                })
-            }
+                }),
             RequestKind::Perturb => {
                 exec_perturb(&job, &context_for(&job, batch_ctx, batching), now).map(
                     |(value, timed_out)| {
@@ -1207,7 +1200,6 @@ fn exec_route(job: &Job, ctx: &Arc<TargetContext>) -> Result<JsonValue, String> 
 fn exec_attack(
     job: &Job,
     ctx: &Arc<TargetContext>,
-    hierarchy: Option<&Arc<NetworkHierarchy>>,
     now: Instant,
 ) -> Result<(JsonValue, bool), String> {
     let req = &job.request;
@@ -1215,7 +1207,7 @@ fn exec_attack(
         deadline: job.deadline.map(|d| d.saturating_duration_since(now)),
         ..RunLimits::default()
     };
-    let mut problem = AttackProblem::with_path_rank_in(
+    let problem = AttackProblem::with_path_rank_in(
         job.resident.net(),
         req.weight,
         req.cost,
@@ -1226,9 +1218,6 @@ fn exec_attack(
     )
     .map_err(|e| e.to_string())?
     .with_limits(limits);
-    if let Some(h) = hierarchy {
-        problem = problem.with_hierarchy(h);
-    }
     let algorithm = algorithm_by_name(&req.algorithm)?;
     let out = algorithm.attack(&problem);
     if out.status == AttackStatus::TimedOut {
@@ -1444,29 +1433,12 @@ fn health_result(shared: &Shared) -> JsonValue {
         "restarts".to_string(),
         JsonValue::Num(shared.restarts.load(Ordering::SeqCst) as f64),
     );
-    // Resident-hierarchy footprint: how many cities have paid the
-    // contraction and how much memory the hierarchies pin.
-    let (mut resident, mut bytes) = (0usize, 0usize);
-    for name in shared.registry.names() {
-        if let Some(h) = shared
-            .registry
-            .get(name)
-            .and_then(|r| r.hierarchy_if_built())
-        {
-            resident += 1;
-            bytes += h.bytes_resident();
-        }
-    }
-    let mut hierarchies = BTreeMap::new();
-    hierarchies.insert("resident".to_string(), JsonValue::Num(resident as f64));
-    hierarchies.insert("bytes_resident".to_string(), JsonValue::Num(bytes as f64));
     let mut obj = BTreeMap::new();
     obj.insert("status".to_string(), JsonValue::Str(status.to_string()));
     obj.insert("draining".to_string(), JsonValue::Bool(draining));
     obj.insert("escalated".to_string(), JsonValue::Bool(escalated));
     obj.insert("workers".to_string(), JsonValue::Obj(workers));
     obj.insert("breakers".to_string(), JsonValue::Obj(breakers));
-    obj.insert("hierarchies".to_string(), JsonValue::Obj(hierarchies));
     JsonValue::Obj(obj)
 }
 
@@ -1498,21 +1470,6 @@ fn stats_result(shared: &Shared) -> JsonValue {
         "pathattack.reuse.repair.hit",
         "pathattack.reuse.repair.full_fallback",
         "routing.repair.nodes_resettled",
-        "pathattack.reuse.cch_metric.hit",
-        "pathattack.reuse.cch_metric.miss",
-        "pathattack.reuse.cch_rev.hit",
-        "pathattack.reuse.cch_rev.miss",
-        "pathattack.reuse.cch.sync",
-        "pathattack.reuse.cch.reset",
-        "pathattack.reuse.cch.fallback",
-        "routing.cch.customizations",
-        "routing.cch.recustomizations",
-        "routing.cch.arcs_recomputed",
-        "routing.cch.resyncs",
-        "routing.cch.resets",
-        "routing.cch.rev_nodes_recomputed",
-        "routing.cch.rev_arcs_recomputed",
-        "routing.cch.rev_fallbacks",
     ] {
         counters.insert(
             name.to_string(),
@@ -1555,35 +1512,6 @@ fn stats_result(shared: &Shared) -> JsonValue {
     );
     obj.insert("batching".to_string(), JsonValue::Bool(shared.cfg.batching));
     obj.insert("draining".to_string(), JsonValue::Bool(shared.draining()));
-    // Per-city resident hierarchy state; cities whose hierarchy no
-    // request has built yet are omitted (reporting must never pay the
-    // contraction itself).
-    let mut hierarchies = BTreeMap::new();
-    for name in shared.registry.names() {
-        let Some(h) = shared
-            .registry
-            .get(name)
-            .and_then(|r| r.hierarchy_if_built())
-        else {
-            continue;
-        };
-        let mut hobj = BTreeMap::new();
-        hobj.insert("nodes".to_string(), JsonValue::Num(h.num_nodes() as f64));
-        hobj.insert(
-            "shortcut_arcs".to_string(),
-            JsonValue::Num(h.num_arcs() as f64),
-        );
-        hobj.insert(
-            "customizations".to_string(),
-            JsonValue::Num(h.customizations() as f64),
-        );
-        hobj.insert(
-            "bytes_resident".to_string(),
-            JsonValue::Num(h.bytes_resident() as f64),
-        );
-        hierarchies.insert(name.clone(), JsonValue::Obj(hobj));
-    }
-    obj.insert("hierarchies".to_string(), JsonValue::Obj(hierarchies));
     obj.insert("counters".to_string(), JsonValue::Obj(counters));
     obj.insert("batch_size".to_string(), hist("serve.batch.size"));
     obj.insert("latency_us".to_string(), hist("serve.latency_us"));
@@ -1678,5 +1606,20 @@ impl Client {
     pub fn roundtrip_raw(&mut self, payload: &[u8]) -> Result<Vec<u8>, String> {
         write_frame(&mut self.stream, payload).map_err(|e| format!("send: {e}"))?;
         read_frame(&mut self.stream).map_err(|e| format!("recv: {e}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let writer = setup_conn(&stream).unwrap();
+        assert!(stream.nodelay().unwrap());
+        assert!(writer.nodelay().unwrap());
     }
 }

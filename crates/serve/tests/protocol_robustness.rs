@@ -7,7 +7,7 @@
 
 use serve::{
     read_frame, write_frame, ChaosPlan, ChaosProxy, ChaosSite, FrameError, Request, RequestKind,
-    ResilientClient, Response, RetryPolicy, Server, ServerConfig, MAX_FRAME,
+    ResilientClient, Response, RetryBudget, RetryPolicy, Server, ServerConfig, MAX_FRAME,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -225,42 +225,88 @@ fn corrupted_request_gets_structured_checksum_error() {
     server.shutdown();
 }
 
+/// Sends `stats` on `stream` and returns the queue depth it reports.
+/// The server answers `stats` inline, after every request sent earlier
+/// on the same connection has been queued or shed; other responses
+/// arriving meanwhile are skipped.
+fn queue_depth(stream: &mut TcpStream, id: u64) -> f64 {
+    write_frame(
+        stream,
+        &Request::new(id, RequestKind::Stats, "").to_payload(),
+    )
+    .unwrap();
+    loop {
+        let resp = Response::parse(&read_frame(stream).unwrap()).unwrap();
+        if resp.id == id {
+            return resp
+                .result
+                .and_then(|r| r.get("queue_depth")?.as_f64())
+                .expect("stats reports queue_depth");
+        }
+    }
+}
+
 #[test]
 fn shed_request_is_retried_after_the_hint_and_succeeds() {
-    // One worker, one queue slot: three pipelined heavy impact
-    // simulations leave the worker busy and the queue full, so the
-    // client's request is shed with a retry hint; honoring it must
-    // eventually succeed.
+    // One worker, one queue slot: a heavy impact simulation keeps the
+    // worker busy while a second one fills the queue, so the client's
+    // request is shed with a retry hint; honoring it must eventually
+    // succeed.
+    const QUEUE_SLOTS: usize = 1;
     let server = Server::start(ServerConfig {
         listen: "127.0.0.1:0".to_string(),
         cities: vec!["boston".to_string()],
         workers: 1,
-        queue_depth: 1,
+        queue_depth: QUEUE_SLOTS,
         retry_after_ms: 20,
         ..ServerConfig::default()
     })
     .expect("server starts");
     let mut hog = TcpStream::connect(server.local_addr()).unwrap();
-    for (i, source) in [3usize, 5, 11].into_iter().enumerate() {
+    let send_impact = |hog: &mut TcpStream, i: usize| {
         let mut req = Request::new(20 + i as u64, RequestKind::Impact, "boston");
-        req.source = source;
+        req.source = [3usize, 5, 11][i % 3];
         req.rank = 4;
         req.trips = 120;
-        write_frame(&mut hog, &req.to_payload()).unwrap();
+        write_frame(hog, &req.to_payload()).unwrap();
+    };
+    // The client's request races the hog's on another connection, so
+    // fill the queue first and confirm it is full: wait until the
+    // worker has taken the first impact, then queue impacts until one
+    // stays queued behind a busy worker.
+    send_impact(&mut hog, 0);
+    let started = std::time::Instant::now();
+    while queue_depth(&mut hog, 100) > 0.0 {
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(60),
+            "the worker never took the first impact"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let mut i = 1;
+    loop {
+        send_impact(&mut hog, i);
+        if queue_depth(&mut hog, 100 + i as u64) == QUEUE_SLOTS as f64 {
+            break;
+        }
+        // The worker finished the previous impact and took this one.
+        i += 1;
+        assert!(i < 20, "the queue never filled behind a busy worker");
     }
     let mut client = ResilientClient::new(
         &server.local_addr().to_string(),
         RetryPolicy {
             // Poll tightly: the hint (20 ms) dominates the backoff.
-            // The attempts budget is deliberately deep — on a loaded
-            // machine the debug-build impact backlog can take many
-            // seconds to drain, and the call returns the moment the
-            // queue frees, so the ceiling is only a safety net.
+            // The attempts and retry budgets are deliberately deep — on
+            // a loaded machine the debug-build impact backlog can take
+            // many seconds to drain, and the call returns the moment
+            // the queue frees, so the ceilings are only a safety net.
             max_attempts: 1000,
             max_backoff: std::time::Duration::from_millis(50),
             ..RetryPolicy::default()
         },
-    );
+    )
+    .with_budget(RetryBudget::new(1000.0, 0.5));
     let mut req = Request::new(30, RequestKind::Route, "boston");
     req.source = 17;
     let call = client.call(&req).expect("shed request clears on retry");
