@@ -121,7 +121,9 @@ impl NetworkCache {
 /// Building a context runs exactly one backward Dijkstra (counted as a
 /// `pathattack.reuse.rev_dij.miss`); every oracle construction and Yen
 /// path-rank enumeration that matches it then reuses the table (counted
-/// as `pathattack.reuse.rev_dij.hit`).
+/// as `pathattack.reuse.rev_dij.hit`). Problems from
+/// [`AttackProblem::with_path_rank`] carry a private context of their
+/// own, so even a lone victim pays for one backward sweep, not three.
 ///
 /// # Examples
 ///

@@ -1,7 +1,7 @@
 //! The Force Path Cut problem instance (paper §II-B).
 
 use crate::{CostType, NetworkCache, RunLimits, TargetContext, WeightType};
-use routing::{k_shortest_paths_with, kth_shortest_path, Path, YenConfig};
+use routing::{k_shortest_paths_with, Path, YenConfig};
 use std::fmt;
 use std::sync::Arc;
 use traffic_graph::{EdgeId, GraphView, NodeId, RoadNetwork};
@@ -196,6 +196,11 @@ impl<'g> AttackProblem<'g> {
     /// paper uses rank 100), computed with Yen's algorithm under the
     /// chosen weight type.
     ///
+    /// Builds a private [`TargetContext`] for `target` and delegates to
+    /// [`AttackProblem::with_path_rank_in`], so its one backward sweep
+    /// serves Yen's spur heuristic and every oracle built from the
+    /// problem (attacks and [`crate::AttackOutcome::verify`]).
+    ///
     /// # Errors
     ///
     /// Returns [`ProblemError::RankUnavailable`] when fewer than `rank`
@@ -208,23 +213,19 @@ impl<'g> AttackProblem<'g> {
         target: NodeId,
         rank: usize,
     ) -> Result<Self, ProblemError> {
-        let view = GraphView::new(net);
-        let weight = weight_type.compute(net);
-        // Yen's enumeration runs its own backward sweep for the spur
-        // heuristic here; with_path_rank_in shares it instead.
-        obs::inc("pathattack.reuse.rev_dij.miss");
-        let pstar = kth_shortest_path(&view, |e| weight[e.index()], source, target, rank)
-            .ok_or(ProblemError::RankUnavailable(rank))?;
-        Self::new(view, weight_type, cost_type, source, target, pstar)
+        let ctx = Arc::new(TargetContext::build(net, weight_type, target));
+        Self::with_path_rank_in(net, weight_type, cost_type, source, target, rank, &ctx)
     }
 
     /// Like [`AttackProblem::with_path_rank`], but feeds the shared
-    /// reverse-distance table of `ctx` to Yen's spur searches (saving the
-    /// per-call backward Dijkstra) and attaches `ctx` to the resulting
-    /// problem as [`AttackProblem::new_in`] does.
+    /// reverse-distance table of `ctx` to Yen's spur searches and
+    /// attaches `ctx` to the resulting problem as
+    /// [`AttackProblem::new_in`] does.
     ///
-    /// Falls back to the self-contained computation when `ctx` was built
-    /// for a different network, weight model, or target.
+    /// When `ctx` was built for a different network, weight model, or
+    /// target, Yen runs its own backward sweep (a
+    /// `pathattack.reuse.rev_dij.miss`) and the oracles built from the
+    /// problem sweep again, as [`crate::Oracle::new`] describes.
     ///
     /// # Errors
     ///
@@ -266,15 +267,7 @@ impl<'g> AttackProblem<'g> {
             return Err(ProblemError::RankUnavailable(rank));
         }
         let pstar = paths.swap_remove(rank - 1);
-        Self::build(
-            view,
-            weight_type,
-            cost_type,
-            source,
-            target,
-            pstar,
-            Some(ctx.clone()),
-        )
+        Self::new_in(view, weight_type, cost_type, source, target, pstar, ctx)
     }
 
     /// Caps the attacker's total removal cost; attacks report failure

@@ -48,11 +48,14 @@ pub struct Oracle {
 
 impl Oracle {
     /// Builds the oracle for `problem`. When the problem carries a
-    /// matching [`crate::TargetContext`], its reverse-distance table is
-    /// reused (`pathattack.reuse.rev_dij.hit`); otherwise one backward
-    /// Dijkstra runs here (`pathattack.reuse.rev_dij.miss`). If the
-    /// problem has a deadline, its clock starts here (an owned backward
-    /// sweep counts against it).
+    /// matching [`crate::TargetContext`] (every problem from
+    /// [`AttackProblem::with_path_rank`] does), its reverse-distance
+    /// table is reused (`pathattack.reuse.rev_dij.hit`). A miss — a
+    /// problem from [`AttackProblem::new`], a context for another target
+    /// or weight model, or a base view with pre-attack removals — runs
+    /// one backward Dijkstra here (`pathattack.reuse.rev_dij.miss`). If
+    /// the problem has a deadline, its clock starts here (an owned
+    /// backward sweep counts against it).
     pub fn new(problem: &AttackProblem<'_>) -> Self {
         let _timer = obs::span("pathattack.oracle.build");
         let limits = problem.limits();

@@ -74,24 +74,38 @@ fn all_algorithms_identical_with_and_without_repair() {
 fn repair_equivalence_holds_without_shared_context_too() {
     // The owned-sweep oracle path (no matching TargetContext) builds its
     // repair baseline from its own backward sweep; results must still
-    // match the repair-off run.
+    // match the repair-off run. `with_path_rank` attaches a context, so
+    // the problems are rebuilt context-less from its rank-10 p*.
     let city = CityPreset::Boston.build(Scale::Small, 11);
     let hospital = city
         .pois_of_kind(PoiKind::Hospital)
         .next()
         .expect("preset has a hospital")
         .node;
+    let pstar = AttackProblem::with_path_rank(
+        &city,
+        WeightType::Time,
+        CostType::Lanes,
+        NodeId::new(5),
+        hospital,
+        10,
+    )
+    .unwrap()
+    .pstar()
+    .clone();
     let make = |repair: bool| {
-        AttackProblem::with_path_rank(
-            &city,
+        let p = AttackProblem::new(
+            GraphView::new(&city),
             WeightType::Time,
             CostType::Lanes,
             NodeId::new(5),
             hospital,
-            10,
+            pstar.clone(),
         )
         .unwrap()
-        .with_repair(repair)
+        .with_repair(repair);
+        assert!(p.target_context().is_none());
+        p
     };
     let p_on = make(true);
     let p_off = make(false);

@@ -25,11 +25,12 @@
 //! chaos proxy injecting seeded connection faults. `chaos` runs the
 //! same proxy standalone in front of any running server.
 
-use metro_attack::attack::{coordinated_attack, minimal_hardening};
+use metro_attack::attack::{coordinated_attack, minimal_hardening, TargetContext};
 use metro_attack::cli::{command_span_name, MetricsMode, BOOLEAN_FLAGS, KNOWN_FLAGS, USAGE};
 use metro_attack::prelude::*;
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -186,9 +187,8 @@ fn parse_algorithm(args: &Args) -> Box<dyn AttackAlgorithm> {
     }
 }
 
-/// Builds the city and picks the hospital/source for attack-style
-/// subcommands.
-fn setup(args: &Args) -> (RoadNetwork, NodeId, String, NodeId) {
+/// Builds the city and picks the hospital for attack-style subcommands.
+fn setup_city(args: &Args) -> (RoadNetwork, String, NodeId) {
     let preset = parse_city(args);
     let city = preset.build(parse_scale(args), args.num("seed", 42u64));
     let hospitals: Vec<_> = city.pois_of_kind(PoiKind::Hospital).cloned().collect();
@@ -206,6 +206,15 @@ fn setup(args: &Args) -> (RoadNetwork, NodeId, String, NodeId) {
         std::process::exit(1);
     }
     let hospital = hospitals[hidx].clone();
+    (city, hospital.name, hospital.node)
+}
+
+/// [`setup_city`] plus the hospital's shared [`TargetContext`] and the
+/// victim's source: `--source`, else the node farthest from the
+/// hospital by the context's reverse table.
+fn setup(args: &Args) -> (RoadNetwork, NodeId, String, NodeId, Arc<TargetContext>) {
+    let (city, name, hospital) = setup_city(args);
+    let ctx = Arc::new(TargetContext::build(&city, parse_weight(args), hospital));
     let source = match args.get("source") {
         Some(v) => {
             let idx = v.parse::<usize>().unwrap_or_else(|_| usage());
@@ -220,19 +229,15 @@ fn setup(args: &Args) -> (RoadNetwork, NodeId, String, NodeId) {
         }
         None => {
             // deterministic far source
-            let w = parse_weight(args).compute(&city);
-            let view = GraphView::new(&city);
-            let mut dij = Dijkstra::new(city.num_nodes());
-            let dist = dij.distances(&view, |e| w[e.index()], hospital.node, Direction::Backward);
+            let dist = ctx.rev();
             (0..city.num_nodes())
-                .filter(|&v| dist[v].is_finite() && v != hospital.node.index())
+                .filter(|&v| dist[v].is_finite() && v != hospital.index())
                 .max_by(|&a, &b| dist[a].total_cmp(&dist[b]))
                 .map(NodeId::new)
                 .unwrap_or(NodeId::new(0))
         }
     };
-    let name = hospital.name.clone();
-    (city, source, name, hospital.node)
+    (city, source, name, hospital, ctx)
 }
 
 fn cmd_generate(args: &Args) -> ExitCode {
@@ -255,17 +260,18 @@ fn cmd_generate(args: &Args) -> ExitCode {
 }
 
 fn cmd_attack(args: &Args) -> ExitCode {
-    let (city, source, hospital_name, hospital) = setup(args);
+    let (city, source, hospital_name, hospital, ctx) = setup(args);
     let weight = parse_weight(args);
     let cost = parse_cost(args);
     let rank = args.num("rank", 50usize);
-    let problem = match AttackProblem::with_path_rank(&city, weight, cost, source, hospital, rank) {
-        Ok(p) => p.with_limits(parse_limits(args)),
-        Err(e) => {
-            eprintln!("cannot set up instance: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let problem =
+        match AttackProblem::with_path_rank_in(&city, weight, cost, source, hospital, rank, &ctx) {
+            Ok(p) => p.with_limits(parse_limits(args)),
+            Err(e) => {
+                eprintln!("cannot set up instance: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
     if perturb_requested(args) {
         return attack_with_perturbation(args, &city, source, &hospital_name, hospital, problem);
     }
@@ -279,13 +285,7 @@ fn cmd_attack(args: &Args) -> ExitCode {
         problem.pstar().len(),
         problem.pstar_weight(),
         if weight == WeightType::Time { "s" } else { "m" },
-        {
-            let w = weight.compute(&city);
-            let mut dij = Dijkstra::new(city.num_nodes());
-            dij.shortest_path(&GraphView::new(&city), |e| w[e.index()], source, hospital)
-                .map(|p| p.total_weight())
-                .unwrap_or(f64::NAN)
-        },
+        ctx.distance_to_target(source),
     );
     println!(
         "status {:?}: removed {} segments, total cost {:.2}, {:.2} ms",
@@ -429,15 +429,16 @@ fn cmd_recon(args: &Args) -> ExitCode {
 }
 
 fn cmd_harden(args: &Args) -> ExitCode {
-    let (city, source, hospital_name, hospital) = setup(args);
+    let (city, source, hospital_name, hospital, ctx) = setup(args);
     let rank = args.num("rank", 30usize);
-    let problem = match AttackProblem::with_path_rank(
+    let problem = match AttackProblem::with_path_rank_in(
         &city,
         parse_weight(args),
         parse_cost(args),
         source,
         hospital,
         rank,
+        &ctx,
     ) {
         Ok(p) => p,
         Err(e) => {
@@ -469,7 +470,7 @@ fn cmd_harden(args: &Args) -> ExitCode {
 }
 
 fn cmd_isolate(args: &Args) -> ExitCode {
-    let (city, _, hospital_name, hospital) = setup(args);
+    let (city, hospital_name, hospital) = setup_city(args);
     let radius: f64 = args.num("radius", 400.0f64);
     let center = city.node_point(hospital);
     let area: Vec<NodeId> = city
@@ -496,14 +497,15 @@ fn cmd_isolate(args: &Args) -> ExitCode {
 }
 
 fn cmd_impact(args: &Args) -> ExitCode {
-    let (city, source, hospital_name, hospital) = setup(args);
-    let problem = match AttackProblem::with_path_rank(
+    let (city, source, hospital_name, hospital, ctx) = setup(args);
+    let problem = match AttackProblem::with_path_rank_in(
         &city,
         parse_weight(args),
         parse_cost(args),
         source,
         hospital,
         args.num("rank", 20usize),
+        &ctx,
     ) {
         Ok(p) => p,
         Err(e) => {
@@ -545,15 +547,20 @@ fn cmd_coordinate(args: &Args) -> ExitCode {
         .clone();
     let victims: usize = args.num("victims", 3usize);
     let n = city.num_nodes();
+    let weight = parse_weight(args);
+    // Every victim heads to the same hospital: one backward sweep serves
+    // all their Yen enumerations and oracles.
+    let ctx = Arc::new(TargetContext::build(&city, weight, hospital.node));
     let problems: Vec<AttackProblem<'_>> = (0..victims)
         .filter_map(|i| {
-            AttackProblem::with_path_rank(
+            AttackProblem::with_path_rank_in(
                 &city,
-                parse_weight(args),
+                weight,
                 parse_cost(args),
                 NodeId::new((97 + i * (n / victims.max(1) + 13)) % n),
                 hospital.node,
                 args.num("rank", 10usize),
+                &ctx,
             )
             .ok()
         })
